@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import stats
 
 __all__ = [
     "PTHistogram", "PearsonReport", "porter_thomas_check",
@@ -91,6 +90,7 @@ def porter_thomas_check(probabilities, n: int, *, bins: int = 50) -> PTHistogram
     density, edges = np.histogram(x, bins=bins, range=(0.0, float(x.max())),
                                   density=True)
     centers = 0.5 * (edges[:-1] + edges[1:])
+    from scipy import stats  # deferred: importing scipy.stats costs ~1 s
     ks = stats.kstest(x, "expon").statistic
     return PTHistogram(edges, density, np.exp(-centers), int(probs.size),
                        float(ks))

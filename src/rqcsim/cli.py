@@ -532,11 +532,11 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
-    except UsageError as e:
+    except (UsageError, PlanError) as e:  # a plan that does not fit the circuit
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except MemoryBudgetError as e:
-        print(f"resource error: {e}", file=sys.stderr)
+    except (MemoryBudgetError, MemoryError) as e:
+        print(f"resource error: {str(e) or 'out of memory'}", file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError) as e:
         print(f"numerical error: {e}", file=sys.stderr)

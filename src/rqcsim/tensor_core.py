@@ -15,13 +15,22 @@ most three *moves* that keep memory traffic sequential:
 Any permutation factors as L-R-L for reasonable (mu, nu); most factor
 shorter.  The gather maps are exponentially smaller than the tensor
 (2^(k-gamma) or 2^gamma entries instead of 2^k), so they are memoized.
-Pairwise contraction permutes both operands into matrix layout with
-these moves and hands the rest to BLAS.
+On the numpy kernel backend each move is a full ``np.take`` pass, so a
+plan of two or more moves runs as one strided ``np.transpose`` copy
+instead (byte-identical, one pass); single moves keep the move kernel.
+
+Pairwise contraction is transpose-transpose-GEMM: each operand is moved
+at most once into matrix layout and the rest goes to one BLAS call.  When
+the shared labels already sit together at one end of the larger operand,
+that operand is handed to BLAS as a reshape view and only the smaller one
+is permuted, so the output label order depends on the layout.  Permuted
+operand copies land in reused scratch buffers instead of fresh memory.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -274,17 +283,23 @@ def permute_naive(array: np.ndarray, perm: Sequence[int]) -> np.ndarray:
 
 
 class Workspace:
-    """A pair of reusable flat buffers per (size, dtype), for move ping-pong."""
+    """Reusable flat buffers, one per (slot, dtype), for move ping-pong.
+
+    Each buffer grows to the largest size requested so far and is never
+    shrunk, so a loop over same-shaped operands touches fresh memory only
+    once.
+    """
 
     def __init__(self):
-        self._bufs: dict[tuple, list] = {}
+        self._bufs: dict[tuple, np.ndarray] = {}
 
     def take(self, size: int, dtype, slot: int) -> np.ndarray:
-        key = (size, np.dtype(dtype))
-        pair = self._bufs.setdefault(key, [None, None])
-        if pair[slot] is None:
-            pair[slot] = np.empty(size, dtype=dtype)
-        return pair[slot]
+        key = (slot, np.dtype(dtype))
+        buf = self._bufs.get(key)
+        if buf is None or buf.size < size:
+            self._bufs.pop(key, None)  # free the old buffer before growing
+            buf = self._bufs[key] = np.empty(size, dtype=dtype)
+        return buf[:size]
 
 
 def permute_fast(array: np.ndarray, plan: PermutePlan, thread_count: int = 1,
@@ -292,9 +307,11 @@ def permute_fast(array: np.ndarray, plan: PermutePlan, thread_count: int = 1,
                  map_cache: Optional[MoveMapCache] = None) -> np.ndarray:
     """Apply a move plan; returns a row-major array with permuted indexes.
 
-    With no data movement needed the input is returned as-is.  When a
-    workspace is supplied the result aliases one of its buffers and is
-    only valid until the next call that reuses it.
+    With no data movement needed the input is returned as-is.  On the
+    numpy backend a plan of two or more moves runs as one strided
+    transpose.  When a workspace is supplied the result aliases one of its
+    buffers and is only valid until the next call that reuses it;
+    otherwise it is a fresh array.
     """
     a = np.ascontiguousarray(array).reshape(plan.dims)
     if plan.fallback is not None:
@@ -302,8 +319,13 @@ def permute_fast(array: np.ndarray, plan: PermutePlan, thread_count: int = 1,
     if not plan.moves:
         return a
 
-    cache = map_cache if map_cache is not None else _MAP_CACHE
     ws = workspace if workspace is not None else Workspace()
+    if len(plan.moves) > 1 and _kernels.get_backend() == "numpy":
+        out = ws.take(a.size, a.dtype, 0).reshape(plan.out_dims)
+        np.copyto(out, np.transpose(a, plan.perm))
+        return out
+
+    cache = map_cache if map_cache is not None else _MAP_CACHE
     cur = a.reshape(-1)
     cur_dims = list(plan.dims)
     for i, mv in enumerate(plan.moves):
@@ -388,35 +410,67 @@ class Tensor:
         return f"Tensor({self.labels}, shape={self.array.shape}, dtype={self.array.dtype})"
 
 
+# Scratch for the permuted operand copies inside ``contract``: one
+# workspace per operand side, so the two operands of a call never share a
+# buffer, and one pair per thread.  The copies die before ``contract``
+# returns.
+_SCRATCH = threading.local()
+
+
+def _operand_scratch() -> tuple[Workspace, Workspace]:
+    pair = getattr(_SCRATCH, "pair", None)
+    if pair is None:
+        pair = _SCRATCH.pair = (Workspace(), Workspace())
+    return pair
+
+
 def contract(a: Tensor, b: Tensor, thread_count: int = 1,
              mu: int = 5, nu: int = 10) -> Tensor:
     """Contract two tensors over all shared labels.
 
-    Both operands are permuted into matrix layout with planned L/R moves
-    and multiplied with one BLAS call; free labels keep their original
-    relative order (a's first, then b's).
+    The operands are brought into (free, shared) @ (shared, free) matrix
+    layout and multiplied with one BLAS call; the output labels are the
+    left operand's free labels, then the right one's, each in original
+    order.  If the shared labels form a contiguous suffix of the larger
+    operand it becomes the left matrix as-is; a contiguous prefix makes it
+    the right matrix.  Only the smaller operand is then permuted, and the
+    output may list b's free labels first.  Any other layout puts a on the
+    left with the shared labels in a's order.
     """
     b_set = set(b.labels)
-    shared = [l for l in a.labels if l in b_set]
-    a_free = [l for l in a.labels if l not in b_set]
-    a_set = set(a.labels)
-    b_free = [l for l in b.labels if l not in a_set]
-
-    for l in shared:
-        if a.dim_of(l) != b.dim_of(l):
+    for l in a.labels:
+        if l in b_set and a.dim_of(l) != b.dim_of(l):
             raise ValueError(f"dimension mismatch on {l!r}: {a.dim_of(l)} vs {b.dim_of(l)}")
 
-    perm_a = tuple(a.labels.index(l) for l in a_free + shared)
-    perm_b = tuple(b.labels.index(l) for l in shared + b_free)
-    arr_a = permute_fast(a.array, planned(a.array.shape, perm_a, mu, nu), thread_count)
-    arr_b = permute_fast(b.array, planned(b.array.shape, perm_b, mu, nu), thread_count)
+    big, small = (a, b) if a.size >= b.size else (b, a)
+    small_set = set(small.labels)
+    shared = [l for l in big.labels if l in small_set]
+    pos = [i for i, l in enumerate(big.labels) if l in small_set]
+    if pos == list(range(len(big.labels) - len(shared), len(big.labels))):
+        left, right = big, small
+    elif pos == list(range(len(shared))):
+        left, right = small, big
+    else:
+        left, right = a, b
+        shared = [l for l in a.labels if l in b_set]
+    shared_set = set(shared)
+    left_free = [l for l in left.labels if l not in shared_set]
+    right_free = [l for l in right.labels if l not in shared_set]
 
-    m = math.prod(arr_a.shape[:len(a_free)])
-    ksz = arr_a.size // m
-    n = arr_b.size // ksz
-    out = arr_a.reshape(m, ksz) @ arr_b.reshape(ksz, n)
-    out_dims = tuple(arr_a.shape[:len(a_free)]) + tuple(arr_b.shape[len(shared):])
-    return Tensor(tuple(a_free + b_free), out.reshape(out_dims))
+    perm_l = tuple(left.labels.index(l) for l in left_free + shared)
+    perm_r = tuple(right.labels.index(l) for l in shared + right_free)
+    ws_l, ws_r = _operand_scratch()
+    arr_l = permute_fast(left.array, planned(left.array.shape, perm_l, mu, nu),
+                         thread_count, ws_l)
+    arr_r = permute_fast(right.array, planned(right.array.shape, perm_r, mu, nu),
+                         thread_count, ws_r)
+
+    m = math.prod(arr_l.shape[:len(left_free)])
+    ksz = arr_l.size // m
+    n = arr_r.size // ksz
+    out = arr_l.reshape(m, ksz) @ arr_r.reshape(ksz, n)
+    out_dims = tuple(arr_l.shape[:len(left_free)]) + tuple(arr_r.shape[len(shared):])
+    return Tensor(tuple(left_free + right_free), out.reshape(out_dims))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from rqcsim import cli
+from rqcsim import cli, contraction_plan
 
 
 def run(capsys, *argv):
@@ -248,6 +248,26 @@ class TestExitCodes:
             "0" * 12, "--memory-budget", "1K",
         )
         assert code == 2
+
+    def test_plan_lattice_mismatch_is_1(self, capsys):
+        code, _, err = run(
+            capsys, "amplitude", "--lattice", "grid:3x3", "--depth", "1+8+1",
+            "--plan", "bristlecone-24", "--out", "0" * 9,
+        )
+        assert code == 1
+        assert "not a lattice bond" in err
+
+    def test_out_of_memory_is_2(self, circuit_file, capsys, monkeypatch):
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 8.00 GiB")
+
+        monkeypatch.setattr(contraction_plan, "contract", no_memory)
+        code, _, err = run(
+            capsys, "amplitude", "--circuit", str(circuit_file), "--out",
+            "0" * 12,
+        )
+        assert code == 2
+        assert err.startswith("resource error: Unable to allocate")
 
     def test_help_is_0(self, capsys):
         assert cli.main(["--help"]) == 0

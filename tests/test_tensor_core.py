@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rqcsim import _kernels
+from rqcsim import _kernels, tensor_core
 from rqcsim.tensor_core import (
     Tensor,
     benchmark_csv,
@@ -16,6 +19,7 @@ from rqcsim.tensor_core import (
     permute_fast,
     permute_naive,
     plan_permutation,
+    planned,
 )
 
 
@@ -115,6 +119,39 @@ class TestPermuteEquivalence:
         )
 
 
+class TestNumpyRoute:
+    """On the numpy backend a multi-move plan is one strided transpose."""
+
+    @pytest.fixture()
+    def numpy_backend(self):
+        prev = _kernels.set_backend("numpy")
+        yield
+        _kernels.set_backend(prev)
+
+    @pytest.mark.parametrize("dims,perm,mu,nu", [
+        ([2] * 7, [2, 5, 4, 0, 3, 6, 1], 2, 4),       # L-R-L
+        ([2] * 12, [1, 0, 2, 3, 4, 5, 6, 7, 8, 9, 11, 10], 2, 4),  # L-R
+        ([4] * 8, [0, 3, 2, 1, 7, 4, 5, 6], 5, 10),
+    ])
+    def test_multi_move_is_one_transpose(self, numpy_backend, monkeypatch,
+                                         dims, perm, mu, nu):
+        def refuse(*args, **kwargs):
+            raise AssertionError("move kernel called for a multi-move plan")
+
+        monkeypatch.setattr(_kernels, "l_move", refuse)
+        monkeypatch.setattr(_kernels, "r_move", refuse)
+        plan = plan_permutation(dims, perm, mu=mu, nu=nu)
+        assert len(plan.moves) >= 2 and plan.fallback is None
+        rng = np.random.default_rng(8)
+        for dtype in (np.complex64, np.complex128):
+            arr = (rng.standard_normal(dims)
+                   + 1j * rng.standard_normal(dims)).astype(dtype)
+            want = permute_naive(arr, perm).tobytes()
+            assert permute_fast(arr, plan).tobytes() == want
+            ws = tensor_core.Workspace()
+            assert permute_fast(arr, plan, workspace=ws).tobytes() == want
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_permute_property(data):
@@ -198,6 +235,110 @@ class TestContract:
         w = rng.standard_normal(8).astype(np.complex64)
         a, b = Tensor(("x",), v), Tensor(("x",), w)
         assert np.isclose(contract(a, b).scalar(), np.dot(v, w), rtol=1e-5)
+
+    @pytest.mark.parametrize("dtype,rtol", [(np.complex64, 1e-5),
+                                            (np.complex128, 1e-12)])
+    @pytest.mark.parametrize("end", ["prefix", "suffix"])
+    @pytest.mark.parametrize("big_first", [True, False])
+    def test_shared_at_an_end_of_larger_operand(self, monkeypatch, dtype,
+                                                rtol, end, big_first):
+        rng = np.random.default_rng(12)
+
+        def rand(shape):
+            return (rng.standard_normal(shape)
+                    + 1j * rng.standard_normal(shape)).astype(dtype)
+
+        # big: free p, q, r (4*3*5) and shared j, k (2*3), at one end
+        big_labels = ("j", "k", "p", "q", "r") if end == "prefix" \
+            else ("p", "q", "r", "j", "k")
+        dim = {"j": 2, "k": 3, "p": 4, "q": 3, "r": 5, "s": 2, "t": 3}
+        big = Tensor(big_labels, rand([dim[l] for l in big_labels]))
+        # small: shared in the other order, free labels around them
+        small_labels = ("s", "k", "t", "j")
+        small = Tensor(small_labels, rand([dim[l] for l in small_labels]))
+        seen = []
+        fast = tensor_core.permute_fast
+
+        def record(array, plan, *args, **kwargs):
+            seen.append((plan.dims, plan.moves, plan.fallback))
+            return fast(array, plan, *args, **kwargs)
+
+        monkeypatch.setattr(tensor_core, "permute_fast", record)
+        a, b = (big, small) if big_first else (small, big)
+        out = contract(a, b)
+        assert sorted(out.labels) == ["p", "q", "r", "s", "t"]
+        big_calls = [c for c in seen if c[0] == big.dims]
+        assert big_calls == [(big.dims, (), None)]  # read in place
+        ref = np.einsum(
+            f"{''.join(a.labels)},{''.join(b.labels)}->{''.join(out.labels)}",
+            a.array, b.array)
+        assert out.array.dtype == dtype
+        assert np.allclose(out.array, ref, rtol=rtol, atol=rtol)
+
+    def test_results_do_not_alias_scratch(self):
+        """Contract writes permuted operands into reused buffers; nothing it
+        or permute_fast or transpose_to returns may point into them."""
+        rng = np.random.default_rng(6)
+
+        def rand(shape):
+            return (rng.standard_normal(shape)
+                    + 1j * rng.standard_normal(shape)).astype(np.complex64)
+
+        a = Tensor(("i", "j", "k", "l"), rand((4, 3, 2, 5)))
+        b = Tensor(("l", "m", "j", "n"), rand((5, 2, 3, 2)))
+        perm = (2, 0, 3, 1)
+        c = Tensor(("k", "l"), rand((2, 5)))
+        kept = [
+            contract(a, b).array,
+            contract(c, a).array,  # shared labels are a's suffix
+            permute_fast(a.array, planned(a.dims, perm)),
+            permute_fast(a.array, plan_permutation(a.dims, perm, mu=1, nu=2)),
+            a.transpose_to(("k", "i", "l", "j")).array,
+        ]
+        # both operands moved, each into its own buffer
+        ab = contract(a, b)
+        ref = np.einsum(f"ijkl,lmjn->{''.join(ab.labels)}", a.array, b.array)
+        assert np.allclose(ab.array, ref, rtol=1e-5, atol=1e-5)
+        copies = [x.copy() for x in kept]
+        for _ in range(3):
+            contract(Tensor(a.labels, rand(a.dims)),
+                     Tensor(b.labels, rand(b.dims)))
+            contract(Tensor(b.labels, rand(b.dims)),
+                     Tensor(a.labels, rand(a.dims)))
+            contract(Tensor(c.labels, rand(c.dims)),
+                     Tensor(a.labels, rand(a.dims)))
+        for x, saved in zip(kept, copies):
+            assert x.tobytes() == saved.tobytes()
+
+    def test_threads_keep_their_own_scratch(self):
+        rng = np.random.default_rng(9)
+        cases = []
+        for _ in range(4):
+            a = rng.standard_normal((8, 6, 4, 6)) + 0j
+            b = rng.standard_normal((6, 5, 6, 4)) + 0j
+            cases.append((Tensor(("i", "j", "k", "l"), a),
+                          Tensor(("l", "m", "j", "n"), b),
+                          np.einsum("ijkl,lmjn->ikmn", a, b)))
+        bad = []
+
+        def work(a, b, ref):
+            for _ in range(200):
+                out = contract(a, b).transpose_to(("i", "k", "m", "n"))
+                if not np.allclose(out.array, ref, rtol=1e-12, atol=1e-12):
+                    bad.append(1)
+
+        prev = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=c) for c in cases]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(prev)
+        assert not any(t.is_alive() for t in threads)
+        assert not bad
 
     def test_mismatched_shared_dims_rejected(self):
         a = Tensor(("i", "j"), np.zeros((2, 3)))
