@@ -270,19 +270,3 @@ def apply_diag(state: np.ndarray, cz_bits: list[tuple[int, int]],
             phase *= np.exp(1j * np.pi / 4) ** cnt
         state *= phase
 
-
-def warmup() -> None:
-    """Force JIT compilation of the numba kernels on tiny inputs."""
-    if _backend != "numba":
-        return
-    for dtype in (np.complex64, np.complex128):
-        src = np.arange(8, dtype=dtype)
-        dst = np.empty_like(src)
-        rmap = np.arange(4, dtype=np.int64)
-        l_move(src, dst, rmap, 2)
-        r_move(src, dst, np.arange(2, dtype=np.int64), 2, 4)
-    st = np.zeros(8, dtype=np.complex128)
-    st[0] = 1.0
-    apply_1q(st, np.eye(2, dtype=np.complex128), 0)
-    apply_2q(st, np.eye(4, dtype=np.complex128), 0, 1)
-    apply_diag(st, [(0, 1)], [2])

@@ -56,7 +56,7 @@ class PathStats:
     paths_total: int
     paths_used: int
     flops: int
-    peak_bytes: int
+    peak_bytes: int  # the executor's bound on its live set
 
 
 @dataclass(frozen=True)

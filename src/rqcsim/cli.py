@@ -250,22 +250,28 @@ def _load_circuit(args):
     raise UsageError("give either --circuit FILE or --lattice NAME --depth D")
 
 
-def _make_engine(args, circuit) -> AmplitudeEngine:
+def _make_engine(args, circuit, batch: bool = False):
+    """The engine the arguments ask for, and for a batch command the open
+    sites; a memory budget is priced at those sites and the precision."""
     budget = _parse_bytes(args.memory_budget) if args.memory_budget else None
     if args.plan == "auto":
-        plan = builtin_plan(circuit.lattice, circuit.depth,
-                            memory_budget=budget)
+        plan = builtin_plan(circuit.lattice)
     else:
         try:
             plan = load_plan(args.plan)
         except (OSError, PlanError) as e:
             raise UsageError(f"bad plan {args.plan}: {e}")
-    dtype = np.complex64 if args.precision == "single" else np.complex128
+    c_sites = _c_sites_arg(args, circuit, plan) if batch else ()
+    dtype = np.dtype(np.complex64 if args.precision == "single" else np.complex128)
+    if args.plan == "auto" and budget is not None:
+        plan = builtin_plan(circuit.lattice, circuit.depth, memory_budget=budget,
+                            open_sites=c_sites, itemsize=dtype.itemsize)
     threads = args.threads if args.threads else _default_threads()
     if threads < 1:
         raise UsageError("--threads must be >= 1")
-    return AmplitudeEngine(circuit, plan, dtype=dtype, thread_count=threads,
-                           memory_budget=budget)
+    engine = AmplitudeEngine(circuit, plan, dtype=dtype, thread_count=threads,
+                             memory_budget=budget)
+    return engine, c_sites
 
 
 def _fidelity(args) -> FidelitySpec:
@@ -284,9 +290,9 @@ def _bits_arg(value: Optional[str], n: int, default: str = "0") -> str:
     return s
 
 
-def _c_sites_arg(args, circuit, engine) -> tuple[int, ...]:
+def _c_sites_arg(args, circuit, plan) -> tuple[int, ...]:
     if args.c_sites is None or args.c_sites == "auto":
-        sites = engine.plan.batch_sites
+        sites = plan.batch_sites
         if not sites:
             raise UsageError("plan has no batch region; give --c-sites")
         return tuple(sites)
@@ -341,14 +347,13 @@ def _cmd_amplitude(args) -> int:
                     "oracle": True}]
         cfg = _config_echo(args, "amplitude", oracle=True)
     else:
-        engine = _make_engine(args, circuit)
+        engine, c_sites = _make_engine(args, circuit, batch=args.out_bits is None)
         cfg = _config_echo(args, "amplitude", plan_kind=engine.plan.lattice_kind)
         if args.out_bits is not None:
             out = _bits_arg(args.out_bits, circuit.n)
             amp, stats = engine.amplitude(in_bits, out, fidelity=fid)
             records = [amplitude_record(in_bits, out, amp, fid, stats)]
         else:
-            c_sites = _c_sites_arg(args, circuit, engine)
             n_c = args.n_c or min(32, 2 ** len(c_sites))
             s_ab = _bits_arg(args.s_ab, circuit.n)
             batch = engine.amplitude_batch(in_bits, s_ab, c_sites, n_c,
@@ -362,9 +367,8 @@ def _cmd_amplitude(args) -> int:
 
 def _cmd_sample(args) -> int:
     circuit = _load_circuit(args)
-    engine = _make_engine(args, circuit)
+    engine, c_sites = _make_engine(args, circuit, batch=True)
     in_bits = _bits_arg(args.in_bits, circuit.n)
-    c_sites = _c_sites_arg(args, circuit, engine)
     n_c = args.n_c or min(32, 2 ** len(c_sites))
     try:
         config = SamplerConfig(n_c=n_c, target_samples=args.target, m=args.m,
@@ -384,7 +388,7 @@ def _cmd_sample(args) -> int:
 
 def _cmd_verify(args) -> int:
     circuit = _load_circuit(args)
-    engine = _make_engine(args, circuit)
+    engine, _ = _make_engine(args, circuit)
     if circuit.n > oracle.MAX_QUBITS:
         raise MemoryBudgetError(
             f"verification needs the reference simulator; "
@@ -438,8 +442,7 @@ def _cmd_analyze_pt(args) -> int:
 
 def _cmd_analyze_pearson(args) -> int:
     circuit = _load_circuit(args)
-    engine = _make_engine(args, circuit)
-    c_sites = _c_sites_arg(args, circuit, engine)
+    engine, c_sites = _make_engine(args, circuit, batch=True)
     n_c = min(args.n_c, 2 ** len(c_sites))
     rng = np.random.Generator(np.random.PCG64(args.seed))
     batches = []

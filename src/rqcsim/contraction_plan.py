@@ -28,6 +28,12 @@ claims checked against the computed dependency sets: ``global`` promises
 independence from every cut, ``outer`` promises independence from at
 least the innermost one.
 
+One symbolic walk over the plan's shapes prices it: flops per step and
+over the whole path space, and a bound on the bytes the executor holds
+at once.  :func:`estimate_cost` runs it on shapes derived from the
+lattice and depth, :class:`PlanExecutor` on the shapes of its network, so
+a plan accepted under a memory budget also runs under it.
+
 ``builtin_plan`` returns hand-tuned plans (shipped as text files) for the
 Bristlecone lattices and the 7x7 grid, and generates a balanced two-region
 plan for any other rectangle.
@@ -46,7 +52,7 @@ import numpy as np
 
 from .circuits import DepthSpec, Lattice, edge_activations
 from .network_builder import Net2D, edge_label, out_label
-from .tensor_core import Tensor, contract
+from .tensor_core import Tensor, contract, scratch_copies
 
 
 class PlanError(ValueError):
@@ -145,7 +151,6 @@ class PlanAnalysis:
 
     site_cuts: dict[int, tuple[int, ...]]  # site id -> cut indexes slicing it
     step_deps: dict[str, tuple[int, ...]]  # step name -> cut indexes it depends on
-    output_name: str = ""
 
 
 _SITE_RE = re.compile(r"t(\d+)")
@@ -262,7 +267,6 @@ def _analyze(plan: ContractionPlan, lattice: Lattice) -> PlanAnalysis:
     return PlanAnalysis(
         site_cuts={s: tuple(v) for s, v in site_cuts.items()},
         step_deps=step_deps,
-        output_name=output_name,
     )
 
 
@@ -415,18 +419,18 @@ class PlanExecutor:
     The executor keeps a last-value cache per step, keyed by the values of
     the cuts that step actually depends on, so iterating paths in
     lexicographic order recomputes only the steps whose loop variables
-    changed.  ``enable_reuse=False`` disables the cache (every step then
-    recomputes on every path), which is useful for timing comparisons.
+    changed.  At construction it prices the plan with the same shape walk
+    as :func:`estimate_cost`, fed the shapes and dtype of ``net`` itself:
+    ``peak_bytes`` is that walk's bound on the live set, a plan over
+    ``memory_budget`` is refused before anything is contracted, and
+    ``flops`` grows by each evaluated step's precomputed count.
     """
 
     def __init__(self, net: Net2D, plan: ContractionPlan, *,
-                 enable_reuse: bool = True, thread_count: int = 1,
-                 memory_budget: Optional[int] = None):
+                 thread_count: int = 1, memory_budget: Optional[int] = None):
         self.net = net
         self.plan = plan
-        self.enable_reuse = enable_reuse
         self.thread_count = thread_count
-        self.memory_budget = memory_budget
         self.analysis = plan.analyze(net.circuit.lattice)
 
         missing = set(net.tensors) - plan.site_ids()
@@ -442,8 +446,16 @@ class PlanExecutor:
                     raise PlanError(f"cut {cut.name!r} values out of range")
         self.cut_dims = self.plan.cut_dims(net.bond_dim)
 
+        cost = _walk(plan, self.analysis,
+                     {s: dict(zip(t.labels, t.dims)) for s, t in net.tensors.items()},
+                     self.cut_dims,
+                     max(t.array.itemsize for t in net.tensors.values()))
+        if memory_budget is not None and cost.peak_bytes > memory_budget:
+            raise MemoryBudgetError(
+                f"plan needs ~{cost.peak_bytes} bytes, budget is {memory_budget}")
+        self.peak_bytes = cost.peak_bytes
         self.flops = 0
-        self.peak_bytes = 0
+        self._step_flops = {sc.name: sc.flops for sc in cost.steps}
         self._step_cache: dict[str, tuple[tuple[int, ...], Tensor]] = {}
         self._site_cache: dict[int, tuple[tuple[int, ...], Tensor]] = {}
 
@@ -465,15 +477,6 @@ class PlanExecutor:
         self._site_cache[site] = (key, tensor)
         return tensor
 
-    def _account(self, live: int, out_bytes: int):
-        used = live + out_bytes
-        if used > self.peak_bytes:
-            self.peak_bytes = used
-        if self.memory_budget is not None and used > self.memory_budget:
-            raise MemoryBudgetError(
-                f"live set {used} bytes exceeds budget {self.memory_budget}"
-            )
-
     def run(self, path: tuple[int, ...]) -> Tensor:
         """Execute one path; returns the output tensor (scalar-ranked
         unless the network has open outputs)."""
@@ -493,43 +496,29 @@ class PlanExecutor:
                 return values[payload]
             step = payload
             key = tuple(path[i] for i in deps[step.name])
-            if self.enable_reuse:
-                cached = self._step_cache.get(step.name)
-                if cached is not None and cached[0] == key:
-                    values[step.name] = cached[1]
-                    continue
-            live = sum(t.array.nbytes for _, t in self._step_cache.values())
+            cached = self._step_cache.get(step.name)
+            if cached is not None and cached[0] == key:
+                values[step.name] = cached[1]
+                continue
             acc = None
             for name in step.inputs:
                 m = _SITE_RE.fullmatch(name)
                 operand = self._site_tensor(int(m.group(1)), path) if m else values[name]
-                if acc is None:
-                    acc = operand
-                    continue
-                shared = set(acc.labels) & set(operand.labels)
-                m_dim = math.prod(d for l, d in zip(acc.labels, acc.dims)
-                                  if l not in shared)
-                k_dim = math.prod(d for l, d in zip(acc.labels, acc.dims)
-                                  if l in shared)
-                n_dim = math.prod(d for l, d in zip(operand.labels, operand.dims)
-                                  if l not in shared)
-                self.flops += 8 * m_dim * k_dim * n_dim
-                self._account(live + acc.array.nbytes + operand.array.nbytes,
-                              m_dim * n_dim * acc.array.itemsize)
-                acc = contract(acc, operand, thread_count=self.thread_count)
+                acc = operand if acc is None else contract(
+                    acc, operand, thread_count=self.thread_count)
+            self.flops += self._step_flops[step.name]
             values[step.name] = acc
-            if self.enable_reuse:
-                self._step_cache[step.name] = (key, acc)
+            self._step_cache[step.name] = (key, acc)
         raise PlanError("program ended without output")  # pragma: no cover
 
 
 def execute_plan(net: Net2D, plan: ContractionPlan, path: tuple[int, ...], *,
-                 enable_reuse: bool = True, thread_count: int = 1,
+                 thread_count: int = 1,
                  memory_budget: Optional[int] = None) -> Tensor:
     """One-shot convenience wrapper; reuse :class:`PlanExecutor` across
     paths when summing more than one."""
-    ex = PlanExecutor(net, plan, enable_reuse=enable_reuse,
-                      thread_count=thread_count, memory_budget=memory_budget)
+    ex = PlanExecutor(net, plan, thread_count=thread_count,
+                      memory_budget=memory_budget)
     return ex.run(path)
 
 
@@ -540,108 +529,107 @@ def execute_plan(net: Net2D, plan: ContractionPlan, path: tuple[int, ...], *,
 @dataclass(frozen=True)
 class StepCost:
     name: str
-    flops: int
-    out_entries: int
+    flops: int        # one evaluation
     evaluations: int  # distinct dependency-value combinations
 
 
 @dataclass(frozen=True)
 class CostEstimate:
-    """Symbolic cost of running a plan over its full path space."""
+    """Cost of running a plan over its full path space."""
 
     paths: int
     total_flops: int
     peak_bytes: int
     steps: tuple[StepCost, ...] = field(repr=False, default=())
 
-    @property
-    def flops_per_path(self) -> float:
-        return self.total_flops / self.paths
 
-    @property
-    def log2_flops(self) -> float:
-        return math.log2(self.total_flops) if self.total_flops else 0.0
+def _walk(plan: ContractionPlan, analysis: PlanAnalysis,
+          shapes: dict[int, dict[str, int]], cut_dims: Sequence[int],
+          itemsize: int) -> CostEstimate:
+    """Fold the plan's shapes (site -> label -> dim) the way the executor
+    folds its tensors, and price every step and the live set.
 
-
-def estimate_cost(plan: ContractionPlan, lattice: Lattice, depth, *,
-                  open_sites: Sequence[int] = (), itemsize: int = 8,
-                  with_reuse: bool = True) -> CostEstimate:
-    """Walk the plan symbolically (shapes only) and price it.
-
-    Flops follow the 8-real-ops-per-complex-multiply-add convention and
-    assume straight pairwise matrix products.  Evaluation counts model the
-    executor's last-value cache under lexicographic path order: a step
-    reruns whenever any loop at or above its innermost dependency ticks,
-    so its count is the product of the loop lengths down to that depth.
-    ``peak_bytes`` models the live set: every step's latest output stays
-    cached, plus the operands of the widest single contraction.
+    Flops follow the 8-real-ops-per-complex-multiply-add convention for
+    each pairwise matrix product.  Evaluation counts model the step cache
+    under lexicographic path order: a step reruns whenever any loop at or
+    above its innermost dependency ticks.  The peak bounds, in bytes, the
+    executor's live set at any moment: every step's cached output (a
+    recomputing step's stale value included), every cached site slice,
+    the arrays one fold or slicing makes fresh (the accumulator this step
+    built so far plus the new product or slices), and ``contract``'s
+    operand scratch, whose left and right sides never outgrow the largest
+    fold accumulator and operand.
     """
-    t = DepthSpec.parse(depth).t
-    analysis = plan.analyze(lattice)
-    acts = edge_activations(lattice, t)
-    bond_dims = {bond: 2 ** k for bond, k in acts.items() if k > 0}
-    open_set = set(open_sites)
-
-    def site_labels(site: int) -> dict[str, int]:
-        labels = {}
-        for bond, dim in bond_dims.items():
-            if site in bond:
-                labels[edge_label(*bond)] = dim
-        if site in open_set:
-            labels[out_label(site)] = 2
-        return labels
-
-    cut_dims = plan.cut_dims(bond_dims)
-    paths = math.prod(cut_dims)
-    sliced = {edge_label(*b): 1 for cut in plan.cuts for b in cut.bonds}
-
-    values: dict[str, dict[str, int]] = {}
+    cached = slices = transient = left = right = 0
     steps: list[StepCost] = []
-    total = 0
-    cached_bytes = 0
-    peak = 0
-    for kind, payload in plan.program:
-        if kind != "contract":
-            continue
-        step = payload
-        flops = 0
+    folded: dict[str, dict[str, int]] = {}
+    for step in plan.steps():
         acc: Optional[dict[str, int]] = None
-        widest = 0
+        flops = 0
+        fresh = 0  # entries of the accumulator, once this step made it
         for name in step.inputs:
             m = _SITE_RE.fullmatch(name)
             if m:
-                operand = site_labels(int(m.group(1)))
-                operand.update((l, 1) for l in operand.keys() & sliced.keys())
+                site = int(m.group(1))
+                operand = dict(shapes[site])
+                sizes = []  # entries after each fix, in executor order
+                for i in analysis.site_cuts.get(site, ()):
+                    for bond in reversed(plan.cuts[i].bonds):
+                        if operand.pop(edge_label(*bond), None) is not None:
+                            sizes.append(math.prod(operand.values()))
+                if sizes:
+                    slices += sizes[-1]
+                    transient = max(transient, fresh + sum(sizes[:2]))
             else:
-                operand = values[name]
+                operand = folded[name]
             if acc is None:
-                acc = dict(operand)
+                acc = operand
                 continue
             shared = acc.keys() & operand.keys()
-            m_dim = math.prod(d for l, d in acc.items() if l not in shared)
-            k_dim = math.prod(d for l, d in acc.items() if l in shared)
-            n_dim = math.prod(d for l, d in operand.items() if l not in shared)
-            flops += 8 * m_dim * k_dim * n_dim
-            operands = (m_dim * k_dim + k_dim * n_dim) * itemsize
-            widest = max(widest, operands + m_dim * n_dim * itemsize)
-            merged = {l: d for l, d in acc.items() if l not in shared}
-            merged.update((l, d) for l, d in operand.items() if l not in shared)
-            acc = merged
-        values[step.name] = acc
-        out_entries = math.prod(acc.values())
+            a_size, b_size = math.prod(acc.values()), math.prod(operand.values())
+            k_dim = math.prod(acc[l] for l in shared)
+            flops += 8 * a_size * b_size // k_dim  # 8 * m * k * n
+            left, right = max(left, a_size), max(right, b_size)
+            out = a_size // k_dim * (b_size // k_dim)
+            transient = max(transient, fresh + out)
+            fresh = out
+            acc = {**acc, **operand}
+            for l in shared:
+                del acc[l]
+        folded[step.name] = acc
+        cached += math.prod(acc.values())
         deps = analysis.step_deps[step.name]
-        if not with_reuse:
-            evals = paths
-        elif not deps:
-            evals = 1
-        else:
-            evals = math.prod(cut_dims[:max(deps) + 1])
-        steps.append(StepCost(step.name, flops, out_entries, evals))
-        total += flops * evals
-        peak = max(peak, cached_bytes + widest)
-        cached_bytes += out_entries * itemsize
-        peak = max(peak, cached_bytes)
-    return CostEstimate(paths, total, peak, tuple(steps))
+        evals = math.prod(cut_dims[:max(deps) + 1]) if deps else 1
+        steps.append(StepCost(step.name, flops, evals))
+    peak = cached + slices + transient + scratch_copies() * (left + right)
+    return CostEstimate(math.prod(cut_dims),
+                        sum(sc.flops * sc.evaluations for sc in steps),
+                        peak * itemsize, tuple(steps))
+
+
+def estimate_cost(plan: ContractionPlan, lattice: Lattice, depth, *,
+                  open_sites: Sequence[int] = (),
+                  itemsize: int = 8) -> CostEstimate:
+    """Price ``plan`` over its full path space from the lattice and depth
+    alone, without building a network.
+
+    Site shapes come from the lattice's bond activations (plus a dimension-2
+    output index at each of ``open_sites``) and go through the same shape
+    walk a :class:`PlanExecutor` runs on its network, so for a network of
+    this circuit, open sites and ``itemsize`` the two agree exactly:
+    ``total_flops`` is what the executor counts over every path, and
+    ``peak_bytes`` is its ``peak_bytes``.
+    """
+    t = DepthSpec.parse(depth).t
+    bond_dims = {bond: 2 ** k for bond, k in edge_activations(lattice, t).items()
+                 if k > 0}
+    shapes: dict[int, dict[str, int]] = {site: {} for site in range(lattice.n)}
+    for (a, b), dim in bond_dims.items():
+        shapes[a][edge_label(a, b)] = shapes[b][edge_label(a, b)] = dim
+    for site in open_sites:
+        shapes[site][out_label(site)] = 2
+    return _walk(plan, plan.analyze(lattice), shapes, plan.cut_dims(bond_dims),
+                 itemsize)
 
 
 # ---------------------------------------------------------------------------
@@ -797,47 +785,44 @@ def load_plan(source) -> ContractionPlan:
 
 
 def builtin_plan(lattice: Lattice, depth=None,
-                 memory_budget: Optional[int] = None) -> ContractionPlan:
+                 memory_budget: Optional[int] = None, *,
+                 open_sites: Sequence[int] = (),
+                 itemsize: int = 8) -> ContractionPlan:
     """The shipped plan for this lattice.
 
     Bristlecone lattices and the 7x7 grid use hand-tuned plan files; other
     rectangles get a generated balanced split.  When ``memory_budget`` is
-    given (bytes), the plan's estimated peak live set at ``depth`` is
-    checked against it; generated grid plans respond by cutting more waist
-    bonds, file-based plans fail with a diagnostic instead of silently
-    changing shape.
+    given (bytes), the plan's :func:`estimate_cost` peak at ``depth``, for
+    ``open_sites`` left open and ``itemsize``-byte entries, is checked
+    against it; generated grid plans respond by cutting more waist bonds,
+    file-based plans fail with a diagnostic instead of silently changing
+    shape.
     """
+    def peak(plan: ContractionPlan) -> int:
+        return estimate_cost(plan, lattice, depth, open_sites=open_sites,
+                             itemsize=itemsize).peak_bytes
+
+    if memory_budget is not None and depth is None:
+        raise ValueError("memory budgets need the circuit depth")
     if lattice.kind in _PLAN_FILES:
         plan = load_plan(lattice.kind)
-        if memory_budget is not None:
-            if depth is None:
-                raise ValueError("memory budgets need the circuit depth")
-            est = estimate_cost(plan, lattice, depth)
-            if est.peak_bytes > memory_budget:
-                raise MemoryBudgetError(
-                    f"plan for {lattice.kind} needs ~{est.peak_bytes} bytes at "
-                    f"depth {DepthSpec.parse(depth)}, budget is {memory_budget}"
-                )
+        if memory_budget is not None and peak(plan) > memory_budget:
+            raise MemoryBudgetError(
+                f"plan for {lattice.kind} needs ~{peak(plan)} bytes at "
+                f"depth {DepthSpec.parse(depth)}, budget is {memory_budget}"
+            )
         return plan
 
     if not lattice.kind.startswith("grid:"):
         raise PlanError(f"no builtin plan for lattice {lattice.kind!r}")
     plan = grid_plan(lattice)
-    if memory_budget is None:
-        return plan
-    if depth is None:
-        raise ValueError("memory budgets need the circuit depth")
-    n_cuts = len(plan.cuts)
-    while True:
-        est = estimate_cost(plan, lattice, depth)
-        if est.peak_bytes <= memory_budget:
-            return plan
+    while memory_budget is not None and peak(plan) > memory_budget:
         try:
-            plan = grid_plan(lattice, n_cuts=n_cuts + 1)
+            plan = grid_plan(lattice, n_cuts=len(plan.cuts) + 1)
         except PlanError:
             raise MemoryBudgetError(
                 f"even cutting the whole waist, {lattice.kind} at depth "
-                f"{DepthSpec.parse(depth)} needs ~{est.peak_bytes} bytes, "
+                f"{DepthSpec.parse(depth)} needs ~{peak(plan)} bytes, "
                 f"budget is {memory_budget}"
             ) from None
-        n_cuts += 1
+    return plan

@@ -29,10 +29,10 @@ operand copies land in reused scratch buffers instead of fresh memory.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -220,41 +220,17 @@ def _plan_three_moves(dims, perm, mu, nu) -> Optional[PermutePlan]:
 # ---------------------------------------------------------------------------
 
 
-class MoveMapCache:
-    """LRU cache of gather maps, keyed by (group dims, group perm).
+@functools.lru_cache(maxsize=512)
+def _gather_map(group_dims: tuple[int, ...], group_perm: tuple[int, ...]) -> np.ndarray:
+    """Flat gather map of one permuted index group.
 
-    Maps cover only the permuted index group, so they are tiny compared
-    to the tensors they rearrange and get reused across every path of a
+    Maps cover only the permuted group, so they are tiny compared to the
+    tensors they rearrange and get reused across every path of a
     contraction.
     """
+    src = np.arange(math.prod(group_dims), dtype=np.int64).reshape(group_dims)
+    return np.ascontiguousarray(np.transpose(src, group_perm)).ravel()
 
-    def __init__(self, max_entries: int = 512):
-        self.max_entries = max_entries
-        self._maps: OrderedDict[tuple, np.ndarray] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, group_dims: tuple[int, ...], group_perm: tuple[int, ...]) -> np.ndarray:
-        key = (group_dims, group_perm)
-        cached = self._maps.get(key)
-        if cached is not None:
-            self._maps.move_to_end(key)
-            self.hits += 1
-            return cached
-        self.misses += 1
-        src = np.arange(math.prod(group_dims), dtype=np.int64).reshape(group_dims)
-        gmap = np.ascontiguousarray(np.transpose(src, group_perm)).ravel()
-        self._maps[key] = gmap
-        while len(self._maps) > self.max_entries:
-            self._maps.popitem(last=False)
-        return gmap
-
-    def clear(self):
-        self._maps.clear()
-        self.hits = self.misses = 0
-
-
-_MAP_CACHE = MoveMapCache()
 
 # plans are pure functions of (dims, perm, mu, nu); planning in python is
 # too slow to redo inside per-path loops
@@ -303,29 +279,26 @@ class Workspace:
 
 
 def permute_fast(array: np.ndarray, plan: PermutePlan, thread_count: int = 1,
-                 workspace: Optional[Workspace] = None,
-                 map_cache: Optional[MoveMapCache] = None) -> np.ndarray:
+                 workspace: Optional[Workspace] = None) -> np.ndarray:
     """Apply a move plan; returns a row-major array with permuted indexes.
 
-    With no data movement needed the input is returned as-is.  On the
-    numpy backend a plan of two or more moves runs as one strided
-    transpose.  When a workspace is supplied the result aliases one of its
-    buffers and is only valid until the next call that reuses it;
-    otherwise it is a fresh array.
+    With no data movement needed the input is returned as-is.  A plan
+    without a move decomposition, and on the numpy backend a plan of two
+    or more moves, runs as one strided transpose.  When a workspace is
+    supplied the result aliases one of its buffers and is only valid until
+    the next call that reuses it; otherwise it is a fresh array.
     """
     a = np.ascontiguousarray(array).reshape(plan.dims)
-    if plan.fallback is not None:
-        return permute_naive(a, plan.perm)
-    if not plan.moves:
+    if not plan.moves and plan.fallback is None:
         return a
 
     ws = workspace if workspace is not None else Workspace()
-    if len(plan.moves) > 1 and _kernels.get_backend() == "numpy":
+    if plan.fallback is not None or (len(plan.moves) > 1
+                                     and _kernels.get_backend() == "numpy"):
         out = ws.take(a.size, a.dtype, 0).reshape(plan.out_dims)
         np.copyto(out, np.transpose(a, plan.perm))
         return out
 
-    cache = map_cache if map_cache is not None else _MAP_CACHE
     cur = a.reshape(-1)
     cur_dims = list(plan.dims)
     for i, mv in enumerate(plan.moves):
@@ -334,14 +307,14 @@ def permute_fast(array: np.ndarray, plan: PermutePlan, thread_count: int = 1,
         if mv.kind == "L":
             g = k - mv.gamma
             group_dims = tuple(cur_dims[:g])
-            row_map = cache.get(group_dims, mv.group_perm)
+            row_map = _gather_map(group_dims, mv.group_perm)
             d_gamma = math.prod(cur_dims[g:])
             _kernels.l_move(cur, dst, row_map, d_gamma, thread_count)
             cur_dims[:g] = [group_dims[p] for p in mv.group_perm]
         else:
             g = k - mv.gamma
             group_dims = tuple(cur_dims[g:])
-            col_map = cache.get(group_dims, mv.group_perm)
+            col_map = _gather_map(group_dims, mv.group_perm)
             d_gamma = math.prod(group_dims)
             _kernels.r_move(cur, dst, col_map, d_gamma, cur.size // d_gamma,
                             thread_count)
@@ -413,7 +386,7 @@ class Tensor:
 # Scratch for the permuted operand copies inside ``contract``: one
 # workspace per operand side, so the two operands of a call never share a
 # buffer, and one pair per thread.  The copies die before ``contract``
-# returns.
+# returns; the buffers stay, each as large as the largest copy it held.
 _SCRATCH = threading.local()
 
 
@@ -424,8 +397,15 @@ def _operand_scratch() -> tuple[Workspace, Workspace]:
     return pair
 
 
-def contract(a: Tensor, b: Tensor, thread_count: int = 1,
-             mu: int = 5, nu: int = 10) -> Tensor:
+def scratch_copies() -> int:
+    """Operand-sized scratch buffers ``contract`` may keep per operand
+    side: the move kernels ping-pong between two, the numpy route copies
+    into one.  The left side only ever receives a copy of ``a`` or of the
+    smaller operand, the right side one of ``b`` or of the smaller."""
+    return 1 if _kernels.get_backend() == "numpy" else 2
+
+
+def contract(a: Tensor, b: Tensor, thread_count: int = 1) -> Tensor:
     """Contract two tensors over all shared labels.
 
     The operands are brought into (free, shared) @ (shared, free) matrix
@@ -460,9 +440,9 @@ def contract(a: Tensor, b: Tensor, thread_count: int = 1,
     perm_l = tuple(left.labels.index(l) for l in left_free + shared)
     perm_r = tuple(right.labels.index(l) for l in shared + right_free)
     ws_l, ws_r = _operand_scratch()
-    arr_l = permute_fast(left.array, planned(left.array.shape, perm_l, mu, nu),
+    arr_l = permute_fast(left.array, planned(left.array.shape, perm_l),
                          thread_count, ws_l)
-    arr_r = permute_fast(right.array, planned(right.array.shape, perm_r, mu, nu),
+    arr_r = permute_fast(right.array, planned(right.array.shape, perm_r),
                          thread_count, ws_r)
 
     m = math.prod(arr_l.shape[:len(left_free)])

@@ -230,6 +230,33 @@ class TestBench:
         assert any(r.startswith("lmove") for r in rows)
 
 
+class TestMemoryBudget:
+    """The budget prices the run that happens: its precision and the
+    sites a batch leaves open."""
+
+    def test_precision_is_priced(self, capsys):
+        amps = []
+        for extra in (["--memory-budget", "11M"],
+                      ["--precision", "double", "--memory-budget", "22M"]):
+            code, out, err = run(
+                capsys, "amplitude", "--lattice", "grid:5x5", "--depth",
+                "1+24+1", "--out", "0" * 25, *extra,
+            )
+            assert code == 0, err
+            rec = json.loads(out.splitlines()[1])
+            assert rec["paths"] == 8 ** 3  # one cut more than the default two
+            amps.append(complex(rec["re"], rec["im"]))
+        assert abs(amps[0] - amps[1]) <= 1e-4 * abs(amps[1])
+
+    def test_open_sites_are_priced(self, capsys):
+        code, out, err = run(
+            capsys, "amplitude", "--lattice", "grid:4x4", "--depth", "1+24+1",
+            "--s-ab", "0" * 16, "--n-c", "4", "--memory-budget", "3M",
+        )
+        assert code == 0, err
+        assert json.loads(out.splitlines()[1])["paths"] == 8 ** 3
+
+
 class TestExitCodes:
     def test_usage_error_is_1(self, capsys):
         assert run(capsys, "gen", "--lattice", "pentagon:9")[0] == 1

@@ -3,17 +3,20 @@
 from __future__ import annotations
 
 import math
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from rqcsim import oracle
+from rqcsim import contraction_plan, oracle, tensor_core
 from rqcsim.circuits import Lattice, generate_rqc
 from rqcsim.contraction_plan import (
     ContractionPlan,
     CutSpec,
     MemoryBudgetError,
     PlanError,
+    PlanExecutor,
     builtin_plan,
     enumerate_paths,
     estimate_cost,
@@ -24,6 +27,7 @@ from rqcsim.contraction_plan import (
     parse_plan,
 )
 from rqcsim.network_builder import build_3d, contract_grid, contract_time
+from rqcsim.tensor_core import Tensor
 
 
 def closed_net(circ, in_bits=0, out_bits=0):
@@ -32,10 +36,11 @@ def closed_net(circ, in_bits=0, out_bits=0):
     )
 
 
-def path_sum(net, plan, **kw) -> complex:
+def path_sum(net, plan) -> complex:
+    """Sum over every path, each through a fresh executor (no cache hits)."""
     dims = plan.cut_dims(net.bond_dim)
     return sum(
-        execute_plan(net, plan, path, **kw).scalar()
+        execute_plan(net, plan, path).scalar()
         for path in enumerate_paths(dims)
     )
 
@@ -120,11 +125,13 @@ class TestPathSum:
         assert abs(path_sum(net, plan) - state_4x4_t16[37]) < 1e-10
 
     def test_reuse_cache_changes_nothing(self, circuit_4x4_t16):
+        """One executor over every path (cache hits) sums to what a fresh
+        executor per path gives."""
         net = closed_net(circuit_4x4_t16)
         plan = grid_plan(circuit_4x4_t16.lattice, n_cuts=2)
-        with_cache = path_sum(net, plan, enable_reuse=True)
-        without = path_sum(net, plan, enable_reuse=False)
-        assert abs(with_cache - without) < 1e-12
+        ex = PlanExecutor(net, plan)
+        with_cache = sum(ex.run(p).scalar() for p in enumerate_paths(ex.cut_dims))
+        assert abs(with_cache - path_sum(net, plan)) < 1e-12
 
     def test_restricted_cut_values_select_paths(self, circuit_4x4_t16):
         """Pinning one cut to a subset of its values must equal the sum of
@@ -160,11 +167,21 @@ class TestCostModel:
         # flops are exact multiples of 8 by construction
         assert all(s.flops % 8 == 0 for s in est.steps)
 
-    def test_reuse_lowers_flops(self, grid_4x4):
-        plan = grid_plan(grid_4x4, n_cuts=2)
-        with_reuse = estimate_cost(plan, grid_4x4, "1+16+1", with_reuse=True)
-        without = estimate_cost(plan, grid_4x4, "1+16+1", with_reuse=False)
-        assert with_reuse.total_flops < without.total_flops
+    def test_reuse_lowers_flops(self, circuit_4x4_t16):
+        """The estimate counts the flops of one executor over every path,
+        fewer than a fresh executor per path spends."""
+        net = closed_net(circuit_4x4_t16)
+        plan = grid_plan(circuit_4x4_t16.lattice, n_cuts=2)
+        est = estimate_cost(plan, circuit_4x4_t16.lattice, "1+16+1")
+        ex = PlanExecutor(net, plan)
+        paths = enumerate_paths(ex.cut_dims)
+        fresh = 0
+        for p in paths:
+            ex.run(p)
+            one = PlanExecutor(net, plan)
+            one.run(p)
+            fresh += one.flops
+        assert ex.flops == est.total_flops < fresh
 
     def test_itemsize_scales_peak_bytes(self, grid_4x4):
         plan = grid_plan(grid_4x4, n_cuts=2)
@@ -194,6 +211,116 @@ class TestMemoryBudget:
     def test_builtin_plan_respects_budget(self, grid_4x4):
         with pytest.raises(MemoryBudgetError):
             builtin_plan(grid_4x4, "1+32+1", memory_budget=256)
+
+
+BOUND_CASES = [
+    *[(kind, depth, None) for kind in ("grid:4x4", "grid:4x5", "grid:5x5")
+      for depth in ("1+8+1", "1+16+1", "1+24+1")],
+    ("grid:5x5", "1+24+1", 3),
+    ("bristlecone-24", "1+8+1", None),
+]
+
+
+def fresh_run(net, plan) -> PlanExecutor:
+    ex = PlanExecutor(net, plan)
+    for p in enumerate_paths(ex.cut_dims):
+        ex.run(p)
+    return ex
+
+
+def traced_peak(net, plan, monkeypatch) -> int:
+    """tracemalloc peak of every path through a fresh executor; operand
+    scratch starts empty so that it is counted."""
+    monkeypatch.setattr(tensor_core, "_SCRATCH", threading.local())
+    tracemalloc.start()
+    try:
+        fresh_run(net, plan)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def array_peak(net, plan, monkeypatch) -> int:
+    """Largest numpy-allocated total right after any contraction or slice
+    of a fresh run returns, while the old accumulator or stale slice is
+    still alive: the peak without the few tens of KB of Python objects
+    that outweigh the arrays of a tiny network."""
+    monkeypatch.setattr(tensor_core, "_SCRATCH", threading.local())
+    peak = 0
+
+    def observe(result):
+        nonlocal peak
+        snap = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+        peak = max(peak, sum(t.size for t in snap.traces))
+        return result
+
+    contract, fix = contraction_plan.contract, Tensor.fix
+    monkeypatch.setattr(contraction_plan, "contract",
+                        lambda *a, **k: observe(contract(*a, **k)))
+    monkeypatch.setattr(Tensor, "fix", lambda *a: observe(fix(*a)))
+    tracemalloc.start()
+    try:
+        fresh_run(net, plan)
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+class TestHonestBound:
+    """One shape walk prices the plan for both the estimate and the
+    executor, and its peak bounds what the executor really allocates."""
+
+    @pytest.mark.parametrize("kind,depth,n_cuts", BOUND_CASES)
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    @pytest.mark.parametrize("batch", [False, True], ids=["closed", "batch"])
+    def test_estimate_bounds_measured_peak(self, kind, depth, n_cuts, dtype,
+                                           batch, monkeypatch):
+        lat = Lattice.named(kind)
+        plan = builtin_plan(lat) if n_cuts is None else grid_plan(lat, n_cuts)
+        open_sites = plan.batch_sites if batch else ()
+        net = contract_time(build_3d(generate_rqc(lat, depth, seed=1), 0, None,
+                                     dtype=dtype))
+        net = net.fix_outputs({q: 0 for q in range(lat.n) if q not in open_sites})
+        est = estimate_cost(plan, lat, depth, open_sites=open_sites,
+                            itemsize=np.dtype(dtype).itemsize)
+
+        done = []  # 8 * m * k * n of every product, from the real operands
+        contract = contraction_plan.contract
+
+        def counted(a, b, **kw):
+            k = math.prod(a.dim_of(l) for l in set(a.labels) & set(b.labels))
+            done.append(8 * a.size * b.size // k)
+            return contract(a, b, **kw)
+
+        monkeypatch.setattr(contraction_plan, "contract", counted)
+        ex = fresh_run(net, plan)  # also warms the permutation caches
+        monkeypatch.setattr(contraction_plan, "contract", contract)
+        assert ex.flops == est.total_flops == sum(done)
+        assert ex.peak_bytes == est.peak_bytes
+
+        if est.peak_bytes < 1 << 20:  # Python objects would dominate
+            assert array_peak(net, plan, monkeypatch) <= est.peak_bytes
+        else:
+            traced = traced_peak(net, plan, monkeypatch)
+            assert traced <= est.peak_bytes
+            if traced >= 4 << 20:
+                assert est.peak_bytes <= 1.5 * traced
+
+    def test_over_budget_refused_before_contracting(self, circuit_4x4_t16,
+                                                    monkeypatch):
+        calls = []
+        contract = contraction_plan.contract
+        monkeypatch.setattr(contraction_plan, "contract",
+                            lambda *a, **k: calls.append(1) or contract(*a, **k))
+        net = closed_net(circuit_4x4_t16)
+        plan = grid_plan(circuit_4x4_t16.lattice, n_cuts=1)
+        need = PlanExecutor(net, plan).peak_bytes
+        with pytest.raises(MemoryBudgetError):
+            PlanExecutor(net, plan, memory_budget=need - 1)
+        assert not calls
+        PlanExecutor(net, plan, memory_budget=need).run((0,))
+        assert calls
 
 
 class TestPlanValidation:

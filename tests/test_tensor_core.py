@@ -110,6 +110,18 @@ class TestPermuteEquivalence:
         finally:
             _kernels.set_backend(prev)
 
+    def test_fallback_copies_into_workspace(self):
+        """A plan with no move decomposition still lands in the workspace,
+        so contract's scratch holds every permuted operand copy."""
+        perm = (0, 1, 4, 5, 2, 3)
+        plan = plan_permutation([2] * 6, perm, mu=2, nu=3)
+        assert plan.fallback is not None
+        arr = np.random.default_rng(2).standard_normal([2] * 6)
+        ws = tensor_core.Workspace()
+        out = permute_fast(arr, plan, workspace=ws)
+        assert out.tobytes() == permute_naive(arr, perm).tobytes()
+        assert np.shares_memory(out, ws.take(arr.size, arr.dtype, 0))
+
     def test_naive_matches_numpy_transpose(self):
         rng = np.random.default_rng(5)
         dims, perm = random_case(rng)
