@@ -41,6 +41,7 @@ plan for any other rectangle.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -52,7 +53,7 @@ import numpy as np
 
 from .circuits import DepthSpec, Lattice, edge_activations
 from .network_builder import Net2D, edge_label, out_label
-from .tensor_core import Tensor, contract, scratch_copies
+from .tensor_core import Tensor, contract, scratch_copies, trim_scratch
 
 
 class PlanError(ValueError):
@@ -422,8 +423,9 @@ class PlanExecutor:
     changed.  At construction it prices the plan with the same shape walk
     as :func:`estimate_cost`, fed the shapes and dtype of ``net`` itself:
     ``peak_bytes`` is that walk's bound on the live set, a plan over
-    ``memory_budget`` is refused before anything is contracted, and
-    ``flops`` grows by each evaluated step's precomputed count.
+    ``memory_budget`` is refused before anything is contracted, the
+    thread's operand scratch is trimmed to what the walk prices for it,
+    and ``flops`` grows by each evaluated step's precomputed count.
     """
 
     def __init__(self, net: Net2D, plan: ContractionPlan, *,
@@ -431,29 +433,23 @@ class PlanExecutor:
         self.net = net
         self.plan = plan
         self.thread_count = thread_count
-        self.analysis = plan.analyze(net.circuit.lattice)
-
-        missing = set(net.tensors) - plan.site_ids()
-        if missing:
-            raise PlanError(f"plan never consumes site tensors {sorted(missing)}")
-        extra = plan.site_ids() - set(net.tensors)
-        if extra:
-            raise PlanError(f"plan references absent site tensors {sorted(extra)}")
+        self.cut_dims = plan.cut_dims(net.bond_dim)
+        self.analysis, cost = _priced(
+            plan, net.circuit.lattice,
+            tuple((s, tuple(zip(t.labels, t.dims))) for s, t in net.tensors.items()),
+            self.cut_dims, max(t.array.itemsize for t in net.tensors.values()),
+            scratch_copies())
         for cut in plan.cuts:
             if cut.values is not None:
                 top = math.prod(net.bond_dim.get(b, 1) for b in cut.bonds)
                 if any(not 0 <= v < top for v in cut.values):
                     raise PlanError(f"cut {cut.name!r} values out of range")
-        self.cut_dims = self.plan.cut_dims(net.bond_dim)
 
-        cost = _walk(plan, self.analysis,
-                     {s: dict(zip(t.labels, t.dims)) for s, t in net.tensors.items()},
-                     self.cut_dims,
-                     max(t.array.itemsize for t in net.tensors.values()))
         if memory_budget is not None and cost.peak_bytes > memory_budget:
             raise MemoryBudgetError(
                 f"plan needs ~{cost.peak_bytes} bytes, budget is {memory_budget}")
         self.peak_bytes = cost.peak_bytes
+        trim_scratch(cost.scratch_bytes)
         self.flops = 0
         self._step_flops = {sc.name: sc.flops for sc in cost.steps}
         self._step_cache: dict[str, tuple[tuple[int, ...], Tensor]] = {}
@@ -541,11 +537,12 @@ class CostEstimate:
     total_flops: int
     peak_bytes: int
     steps: tuple[StepCost, ...] = field(repr=False, default=())
+    scratch_bytes: tuple[int, int] = (0, 0)  # (left, right) operand scratch, in peak_bytes
 
 
 def _walk(plan: ContractionPlan, analysis: PlanAnalysis,
           shapes: dict[int, dict[str, int]], cut_dims: Sequence[int],
-          itemsize: int) -> CostEstimate:
+          itemsize: int, copies: int) -> CostEstimate:
     """Fold the plan's shapes (site -> label -> dim) the way the executor
     folds its tensors, and price every step and the live set.
 
@@ -557,8 +554,8 @@ def _walk(plan: ContractionPlan, analysis: PlanAnalysis,
     recomputing step's stale value included), every cached site slice,
     the arrays one fold or slicing makes fresh (the accumulator this step
     built so far plus the new product or slices), and ``contract``'s
-    operand scratch, whose left and right sides never outgrow the largest
-    fold accumulator and operand.
+    operand scratch, whose left and right sides each hold up to ``copies``
+    buffers no larger than the largest fold accumulator and operand.
     """
     cached = slices = transient = left = right = 0
     steps: list[StepCost] = []
@@ -601,10 +598,35 @@ def _walk(plan: ContractionPlan, analysis: PlanAnalysis,
         deps = analysis.step_deps[step.name]
         evals = math.prod(cut_dims[:max(deps) + 1]) if deps else 1
         steps.append(StepCost(step.name, flops, evals))
-    peak = cached + slices + transient + scratch_copies() * (left + right)
+    scratch = (copies * left * itemsize, copies * right * itemsize)
     return CostEstimate(math.prod(cut_dims),
                         sum(sc.flops * sc.evaluations for sc in steps),
-                        peak * itemsize, tuple(steps))
+                        (cached + slices + transient) * itemsize + sum(scratch),
+                        tuple(steps), scratch)
+
+
+@functools.lru_cache(maxsize=32)
+def _priced(plan: ContractionPlan, lattice: Lattice,
+            shapes: tuple[tuple[int, tuple[tuple[str, int], ...]], ...],
+            cut_dims: tuple[int, ...], itemsize: int,
+            copies: int) -> tuple[PlanAnalysis, CostEstimate]:
+    """Validate ``plan`` against a network's lattice and site shapes
+    (site, ((label, dim), ...)) and price it.
+
+    Every executor built on networks of one shape -- each batch of a
+    sampling run, each amplitude of one circuit -- gets the same answer,
+    so it is memoized; callers must not mutate what it returns.
+    """
+    analysis = plan.analyze(lattice)
+    sites = {s for s, _ in shapes}
+    missing = sites - plan.site_ids()
+    if missing:
+        raise PlanError(f"plan never consumes site tensors {sorted(missing)}")
+    extra = plan.site_ids() - sites
+    if extra:
+        raise PlanError(f"plan references absent site tensors {sorted(extra)}")
+    return analysis, _walk(plan, analysis, {s: dict(ls) for s, ls in shapes},
+                           cut_dims, itemsize, copies)
 
 
 def estimate_cost(plan: ContractionPlan, lattice: Lattice, depth, *,
@@ -629,7 +651,7 @@ def estimate_cost(plan: ContractionPlan, lattice: Lattice, depth, *,
     for site in open_sites:
         shapes[site][out_label(site)] = 2
     return _walk(plan, plan.analyze(lattice), shapes, plan.cut_dims(bond_dims),
-                 itemsize)
+                 itemsize, scratch_copies())
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,19 @@ On the numpy kernel backend each move is a full ``np.take`` pass, so a
 plan of two or more moves runs as one strided ``np.transpose`` copy
 instead (byte-identical, one pass); single moves keep the move kernel.
 
-Pairwise contraction is transpose-transpose-GEMM: each operand is moved
-at most once into matrix layout and the rest goes to one BLAS call.  When
-the shared labels already sit together at one end of the larger operand,
-that operand is handed to BLAS as a reshape view and only the smaller one
-is permuted, so the output label order depends on the layout.  Permuted
-operand copies land in reused scratch buffers instead of fresh memory.
+Pairwise contraction is transpose-transpose-GEMM, minus the copy of the
+larger operand wherever its layout allows.  When the shared labels form one
+contiguous block of the larger operand, that operand is read in place as a
+stack of matrices (strided-batched GEMM): one (free, shared) matrix when
+the block ends it, otherwise one (shared, suffix) matrix per entry of the
+labels before the block.  Only the smaller operand is permuted.  A block
+with labels before it and fewer than 2**mu entries after it -- the
+smallest block an L move carries whole -- makes matrices too narrow to
+beat one copy, so that layout, like scattered shared labels, is permuted
+into a single matrix product.  The output label order follows the layout:
+labels before the block, the other operand's free labels, then the rest.
+Permuted operand copies land in reused scratch buffers instead of fresh
+memory.
 """
 
 from __future__ import annotations
@@ -83,12 +90,18 @@ class PermutePlan:
         return [(m.kind, m.gamma) for m in self.moves]
 
 
+# log2 of the smallest contiguous run of entries worth handling as one
+# unit: the block an L move carries whole, and the matrix width below which
+# a batched product is slower than copying the operand once
+BLOCK_MU = 5
+
+
 def _is_identity(perm: Sequence[int]) -> bool:
     return all(p == i for i, p in enumerate(perm))
 
 
 def plan_permutation(dims: Sequence[int], perm: Sequence[int],
-                     mu: int = 5, nu: int = 10) -> PermutePlan:
+                     mu: int = BLOCK_MU, nu: int = 10) -> PermutePlan:
     """Decompose a transpose into L/R moves (identity, single, L-R, or L-R-L).
 
     The trailing block untouched by each L move must hold at least 2**mu
@@ -237,7 +250,8 @@ def _gather_map(group_dims: tuple[int, ...], group_perm: tuple[int, ...]) -> np.
 _PLAN_CACHE: dict[tuple, PermutePlan] = {}
 
 
-def planned(dims: Sequence[int], perm: Sequence[int], mu: int = 5, nu: int = 10) -> PermutePlan:
+def planned(dims: Sequence[int], perm: Sequence[int], mu: int = BLOCK_MU,
+            nu: int = 10) -> PermutePlan:
     key = (tuple(dims), tuple(perm), mu, nu)
     plan = _PLAN_CACHE.get(key)
     if plan is None:
@@ -261,9 +275,9 @@ def permute_naive(array: np.ndarray, perm: Sequence[int]) -> np.ndarray:
 class Workspace:
     """Reusable flat buffers, one per (slot, dtype), for move ping-pong.
 
-    Each buffer grows to the largest size requested so far and is never
-    shrunk, so a loop over same-shaped operands touches fresh memory only
-    once.
+    Each buffer grows to the largest size requested so far and only
+    ``trim`` frees it, so a loop over same-shaped operands touches fresh
+    memory only once.
     """
 
     def __init__(self):
@@ -276,6 +290,15 @@ class Workspace:
             self._bufs.pop(key, None)  # free the old buffer before growing
             buf = self._bufs[key] = np.empty(size, dtype=dtype)
         return buf[:size]
+
+    def trim(self, max_bytes: int) -> None:
+        """Free buffers, largest first, until at most ``max_bytes`` stay held."""
+        held = sum(buf.nbytes for buf in self._bufs.values())
+        for key, buf in sorted(self._bufs.items(), key=lambda kv: -kv[1].nbytes):
+            if held <= max_bytes:
+                break
+            del self._bufs[key]
+            held -= buf.nbytes
 
 
 def permute_fast(array: np.ndarray, plan: PermutePlan, thread_count: int = 1,
@@ -386,7 +409,8 @@ class Tensor:
 # Scratch for the permuted operand copies inside ``contract``: one
 # workspace per operand side, so the two operands of a call never share a
 # buffer, and one pair per thread.  The copies die before ``contract``
-# returns; the buffers stay, each as large as the largest copy it held.
+# returns; the buffers stay, each as large as the largest copy it held,
+# until ``trim_scratch`` frees them.
 _SCRATCH = threading.local()
 
 
@@ -395,6 +419,14 @@ def _operand_scratch() -> tuple[Workspace, Workspace]:
     if pair is None:
         pair = _SCRATCH.pair = (Workspace(), Workspace())
     return pair
+
+
+def trim_scratch(max_bytes: tuple[int, int]) -> None:
+    """Shrink this thread's operand scratch to at most ``max_bytes`` per
+    side (left, right), so buffers a larger earlier contraction left behind
+    do not outlive the plan that needed them."""
+    for ws, limit in zip(_operand_scratch(), max_bytes):
+        ws.trim(limit)
 
 
 def scratch_copies() -> int:
@@ -408,14 +440,28 @@ def scratch_copies() -> int:
 def contract(a: Tensor, b: Tensor, thread_count: int = 1) -> Tensor:
     """Contract two tensors over all shared labels.
 
-    The operands are brought into (free, shared) @ (shared, free) matrix
-    layout and multiplied with one BLAS call; the output labels are the
-    left operand's free labels, then the right one's, each in original
-    order.  If the shared labels form a contiguous suffix of the larger
-    operand it becomes the left matrix as-is; a contiguous prefix makes it
-    the right matrix.  Only the smaller operand is then permuted, and the
-    output may list b's free labels first.  Any other layout puts a on the
-    left with the shared labels in a's order.
+    Where the shared labels sit in the larger operand decides the layout,
+    and with it the output label order (free labels always keep their
+    operand's order):
+
+    * a contiguous suffix: the larger operand is the left matrix
+      (free, shared) as-is and the smaller one is permuted to
+      (shared, free); output: the larger operand's free labels, then the
+      smaller one's.
+    * any other contiguous block that starts the operand or has at least
+      ``2**BLOCK_MU`` entries after it: the larger operand is read in place
+      as a stack of (shared, after-block) matrices, one per entry of the
+      labels before the block, and the smaller one is permuted to
+      (free, shared); one batched product gives the output labels as
+      before-block, the smaller operand's free labels, after-block.  Fewer
+      entries after the block would make the matrices too narrow to beat
+      one copy of the operand.
+    * anything else: ``a`` is permuted to (free, shared) and ``b`` to
+      (shared, free), the shared labels in ``a``'s order; output: a's free
+      labels, then b's.
+
+    Only permuted copies are made, into per-thread scratch buffers, one
+    per operand side.
     """
     b_set = set(b.labels)
     for l in a.labels:
@@ -424,21 +470,24 @@ def contract(a: Tensor, b: Tensor, thread_count: int = 1) -> Tensor:
 
     big, small = (a, b) if a.size >= b.size else (b, a)
     small_set = set(small.labels)
-    shared = [l for l in big.labels if l in small_set]
     pos = [i for i, l in enumerate(big.labels) if l in small_set]
-    if pos == list(range(len(big.labels) - len(shared), len(big.labels))):
-        left, right = big, small
-    elif pos == list(range(len(shared))):
-        left, right = small, big
+    lo = pos[0] if pos else len(big.labels)
+    hi = lo + len(pos)
+    block = pos == list(range(lo, hi))
+    prefix: tuple[str, ...] = ()
+    if block and hi == len(big.labels):
+        left, right, shared = big, small, big.labels[lo:]
+    elif block and (lo == 0 or math.prod(big.dims[hi:]) >= 1 << BLOCK_MU):
+        left, right, shared, prefix = small, big, big.labels[lo:hi], big.labels[:lo]
     else:
         left, right = a, b
-        shared = [l for l in a.labels if l in b_set]
+        shared = tuple(l for l in a.labels if l in b_set)
     shared_set = set(shared)
-    left_free = [l for l in left.labels if l not in shared_set]
-    right_free = [l for l in right.labels if l not in shared_set]
+    left_free = tuple(l for l in left.labels if l not in shared_set)
+    right_free = tuple(l for l in right.labels[len(prefix):] if l not in shared_set)
 
     perm_l = tuple(left.labels.index(l) for l in left_free + shared)
-    perm_r = tuple(right.labels.index(l) for l in shared + right_free)
+    perm_r = tuple(right.labels.index(l) for l in prefix + shared + right_free)
     ws_l, ws_r = _operand_scratch()
     arr_l = permute_fast(left.array, planned(left.array.shape, perm_l),
                          thread_count, ws_l)
@@ -446,11 +495,14 @@ def contract(a: Tensor, b: Tensor, thread_count: int = 1) -> Tensor:
                          thread_count, ws_r)
 
     m = math.prod(arr_l.shape[:len(left_free)])
+    p = math.prod(arr_r.shape[:len(prefix)])
     ksz = arr_l.size // m
-    n = arr_r.size // ksz
-    out = arr_l.reshape(m, ksz) @ arr_r.reshape(ksz, n)
-    out_dims = tuple(arr_l.shape[:len(left_free)]) + tuple(arr_r.shape[len(shared):])
-    return Tensor(tuple(left_free + right_free), out.reshape(out_dims))
+    # one GEMM per prefix entry; a lone matrix skips numpy's batching
+    rhs = arr_r.reshape(p, ksz, -1) if p > 1 else arr_r.reshape(ksz, -1)
+    out = arr_l.reshape(m, ksz) @ rhs
+    out_dims = (arr_r.shape[:len(prefix)] + arr_l.shape[:len(left_free)]
+                + arr_r.shape[len(prefix) + len(shared):])
+    return Tensor(prefix + left_free + right_free, out.reshape(out_dims))
 
 
 # ---------------------------------------------------------------------------

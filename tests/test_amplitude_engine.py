@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from rqcsim import oracle
+from rqcsim import contraction_plan, oracle
 from rqcsim.amplitude_engine import (
     AmplitudeBatch,
     AmplitudeEngine,
@@ -20,7 +20,7 @@ from rqcsim.amplitude_engine import (
     write_amplitudes,
 )
 from rqcsim.circuits import Lattice, generate_rqc
-from rqcsim.contraction_plan import grid_plan
+from rqcsim.contraction_plan import estimate_cost, grid_plan
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +120,32 @@ class TestBatch:
         assert list(b1.c_values) == list(b2.c_values)
         assert list(b1.c_values) != list(b3.c_values)
         assert len(set(b1.c_values)) == 32
+
+    def test_batches_share_one_pricing(self, engine_4x4, state_4x4_t16,
+                                       monkeypatch):
+        """Batches of one shape validate and price the plan once, while
+        each batch's executor starts with empty step and site caches."""
+        calls = []
+        for name in ("_analyze", "_walk"):
+            fn = getattr(contraction_plan, name)
+            monkeypatch.setattr(
+                contraction_plan, name,
+                lambda *a, _fn=fn, _name=name, **k: calls.append(_name) or _fn(*a, **k))
+        contraction_plan._priced.cache_clear()
+        c_sites = engine_4x4.plan.batch_sites
+        rng = np.random.default_rng(7)
+        batches = [engine_4x4.amplitude_batch(0, int(rng.integers(2 ** 16)),
+                                              c_sites, 8, seed=i)
+                   for i in range(20)]
+        assert calls == ["_analyze", "_walk"]
+        est = estimate_cost(engine_4x4.plan, engine_4x4.circuit.lattice, "1+16+1",
+                            open_sites=c_sites, itemsize=16)
+        for batch in batches:
+            assert batch.stats.flops == est.total_flops
+            assert batch.stats.peak_bytes == est.peak_bytes
+            for i in range(len(batch)):
+                want = state_4x4_t16[int(batch.out_bits(i), 2)]
+                assert abs(batch.amplitudes[i] - want) < 1e-10
 
     def test_oversized_batch_rejected(self, engine_4x4):
         with pytest.raises(ValueError):

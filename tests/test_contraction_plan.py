@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import pathlib
 import threading
 import tracemalloc
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -28,6 +31,9 @@ from rqcsim.contraction_plan import (
 )
 from rqcsim.network_builder import build_3d, contract_grid, contract_time
 from rqcsim.tensor_core import Tensor
+
+
+GEN_PLANS = pathlib.Path(__file__).resolve().parents[1] / "tools" / "gen_plans.py"
 
 
 def closed_net(circ, in_bits=0, out_bits=0):
@@ -106,6 +112,17 @@ class TestPlanText:
             plan = builtin_plan(Lattice.named(kind))
             assert plan.lattice_kind == kind
             assert plan.batch_sites
+
+    def test_shipped_plan_files_match_generator(self):
+        """tools/gen_plans.py would rewrite no shipped plan file."""
+        spec = importlib.util.spec_from_file_location("gen_plans", GEN_PLANS)
+        gen_plans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gen_plans)
+        plans = gen_plans.shipped_plans()
+        assert sorted(plans) == sorted(contraction_plan._PLAN_FILES.values())
+        for fname, plan in plans.items():
+            shipped = resources.files("rqcsim.data.plans") / fname
+            assert format_plan(plan) == shipped.read_text(), fname
 
 
 class TestPathSum:
@@ -321,6 +338,31 @@ class TestHonestBound:
         assert not calls
         PlanExecutor(net, plan, memory_budget=need).run((0,))
         assert calls
+
+    def test_smaller_plan_trims_operand_scratch(self, circuit_4x4_t16,
+                                                monkeypatch):
+        """Scratch a large plan left behind is freed once a smaller plan's
+        executor is built; another executor of the same shape frees none."""
+        monkeypatch.setattr(tensor_core, "_SCRATCH", threading.local())
+
+        def held():
+            return [buf for ws in tensor_core._operand_scratch()
+                    for buf in ws._bufs.values()]
+
+        lat = Lattice.named("grid:5x5")
+        net, plan = closed_net(generate_rqc(lat, "1+24+1", seed=1)), builtin_plan(lat)
+        fresh_run(net, plan)
+        kept = held()
+        PlanExecutor(net, plan)
+        now = held()
+        assert len(now) == len(kept) and all(x is y for x, y in zip(now, kept))
+
+        small_lat = circuit_4x4_t16.lattice
+        PlanExecutor(closed_net(circuit_4x4_t16), builtin_plan(small_lat))
+        priced = estimate_cost(builtin_plan(small_lat), small_lat, "1+16+1",
+                               itemsize=16).scratch_bytes
+        assert sum(buf.nbytes for buf in kept) > sum(priced)
+        assert sum(buf.nbytes for buf in held()) <= sum(priced)
 
 
 class TestPlanValidation:

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import math
 import sys
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from rqcsim import _kernels, tensor_core
@@ -248,9 +250,18 @@ class TestContract:
         a, b = Tensor(("x",), v), Tensor(("x",), w)
         assert np.isclose(contract(a, b).scalar(), np.dot(v, w), rtol=1e-5)
 
+    # big: free p, q, r (4*3*11) and shared j, k (2*3); for each layout of
+    # big, its labels and the output labels when big is read in place
+    LAYOUTS = {
+        "prefix": ("jkpqr", "stpqr"),
+        "suffix": ("pqrjk", "pqrst"),
+        "middle": ("pjkqr", "pstqr"),      # 33 entries after the block
+        "middle-short": ("pqjkr", None),   # 11 entries after it: copied
+    }
+
     @pytest.mark.parametrize("dtype,rtol", [(np.complex64, 1e-5),
                                             (np.complex128, 1e-12)])
-    @pytest.mark.parametrize("end", ["prefix", "suffix"])
+    @pytest.mark.parametrize("end", list(LAYOUTS))
     @pytest.mark.parametrize("big_first", [True, False])
     def test_shared_at_an_end_of_larger_operand(self, monkeypatch, dtype,
                                                 rtol, end, big_first):
@@ -260,11 +271,9 @@ class TestContract:
             return (rng.standard_normal(shape)
                     + 1j * rng.standard_normal(shape)).astype(dtype)
 
-        # big: free p, q, r (4*3*5) and shared j, k (2*3), at one end
-        big_labels = ("j", "k", "p", "q", "r") if end == "prefix" \
-            else ("p", "q", "r", "j", "k")
-        dim = {"j": 2, "k": 3, "p": 4, "q": 3, "r": 5, "s": 2, "t": 3}
-        big = Tensor(big_labels, rand([dim[l] for l in big_labels]))
+        big_labels, in_place_labels = self.LAYOUTS[end]
+        dim = {"j": 2, "k": 3, "p": 4, "q": 3, "r": 11, "s": 2, "t": 3}
+        big = Tensor(tuple(big_labels), rand([dim[l] for l in big_labels]))
         # small: shared in the other order, free labels around them
         small_labels = ("s", "k", "t", "j")
         small = Tensor(small_labels, rand([dim[l] for l in small_labels]))
@@ -280,7 +289,11 @@ class TestContract:
         out = contract(a, b)
         assert sorted(out.labels) == ["p", "q", "r", "s", "t"]
         big_calls = [c for c in seen if c[0] == big.dims]
-        assert big_calls == [(big.dims, (), None)]  # read in place
+        if in_place_labels is None:
+            assert len(big_calls) == 1 and big_calls[0] != (big.dims, (), None)
+        else:
+            assert big_calls == [(big.dims, (), None)]  # read in place
+            assert out.labels == tuple(in_place_labels)
         ref = np.einsum(
             f"{''.join(a.labels)},{''.join(b.labels)}->{''.join(out.labels)}",
             a.array, b.array)
@@ -357,6 +370,77 @@ class TestContract:
         b = Tensor(("j", "k"), np.zeros((4, 2)))
         with pytest.raises(ValueError):
             contract(a, b)
+
+
+@pytest.mark.parametrize("layout", ["scattered", "prefix", "suffix", "middle",
+                                    "middle-short"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_contract_property(layout, data):
+    """Random operands of rank <= 6 against ``np.einsum``, in both argument
+    orders and precisions.  The larger operand holds its shared labels as
+    ``layout`` says ("middle": at least 32 entries after the block,
+    "middle-short": fewer), the smaller one anywhere; the larger operand
+    must be copied exactly when that layout needs it."""
+    # fewest free labels the larger operand has before and after the block
+    least = {"scattered": (0, 0), "prefix": (0, 1), "suffix": (1, 0),
+             "middle": (1, 3), "middle-short": (1, 1)}[layout]
+    n_shared = data.draw(st.integers(layout != "scattered",
+                                     min(3, 6 - sum(least))))
+    lo = 0 if n_shared else 1  # every operand keeps at least one label
+    n_pre = 0 if layout == "prefix" else data.draw(
+        st.integers(least[0], 6 - n_shared - least[1]))
+    n_post = 0 if layout == "suffix" else data.draw(
+        st.integers(max(least[1], lo - n_pre), 6 - n_shared - n_pre))
+    names = iter("abcdefghijklmnopqr")
+    shared = [next(names) for _ in range(n_shared)]
+    pre = [next(names) for _ in range(n_pre)]
+    post = [next(names) for _ in range(n_post)]
+    y_free = [next(names) for _ in range(
+        data.draw(st.integers(lo, min(6 - n_shared, 7 - n_pre - n_post))))]
+    # hypothesis leans towards the first choice: big runs after a middle block
+    sizes = (4, 3, 2) if layout == "middle" else (2, 3, 4)
+    dim = {l: data.draw(st.sampled_from(sizes))
+           for l in shared + pre + post + y_free}
+    x_labels = pre + data.draw(st.permutations(shared)) + post
+    if layout == "scattered":
+        x_labels = data.draw(st.permutations(x_labels))
+    y_labels = data.draw(st.permutations(shared + y_free))
+    dtype = data.draw(st.sampled_from((np.complex64, np.complex128)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+
+    def rand(labels):
+        shape = [dim[l] for l in labels]
+        return (rng.standard_normal(shape)
+                + 1j * rng.standard_normal(shape)).astype(dtype)
+
+    x, y = Tensor(x_labels, rand(x_labels)), Tensor(y_labels, rand(y_labels))
+    assume(x.size > y.size)
+    a, b = (x, y) if data.draw(st.booleans()) else (y, x)
+    pos = sorted(x_labels.index(l) for l in shared)
+    after = math.prod(x.dims[pos[-1] + 1:]) if pos else 1
+    in_place = not pos or (pos == list(range(pos[0], pos[-1] + 1))
+                           and (pos[0] == 0 or after == 1 or after >= 32))
+    event("copied" if not in_place else
+          "batched" if pos and pos[0] > 0 and after > 1 else "one matrix")
+    moved = []
+    fast = tensor_core.permute_fast
+
+    def record(array, plan, *args, **kwargs):
+        if array is x.array:
+            moved.append(bool(plan.moves) or plan.fallback is not None)
+        return fast(array, plan, *args, **kwargs)
+
+    order = tuple(l for l in a.labels + b.labels if l not in shared)
+    with mock.patch.object(tensor_core, "permute_fast", record):
+        got = contract(a, b).transpose_to(order).array
+    assert moved == [not in_place]
+    ref = np.einsum(f"{''.join(a.labels)},{''.join(b.labels)}->{''.join(order)}",
+                    a.array, b.array)
+    rtol = 1e-4 if dtype == np.complex64 else 1e-12
+    assert got.dtype == dtype
+    np.testing.assert_allclose(got, ref, rtol=rtol,
+                               atol=rtol * max(1.0, float(np.abs(ref).max())))
 
 
 class TestBenchmark:

@@ -79,8 +79,9 @@ def bristlecone(size: int, region_c, row_split: int, cut_cols,
     return two_region_plan(lat, A, B, C, cut_bonds)
 
 
-def main():
-    plans = {
+def shipped_plans() -> dict[str, ContractionPlan]:
+    """Every shipped plan file's name and the plan it must hold."""
+    return {
         "grid_7x7.txt": grid_7x7(),
         # A|B split along the v = r - c + 5 diagonals; single waist cut.
         "bristlecone_24.txt": bris24(),
@@ -96,8 +97,11 @@ def main():
         "bristlecone_72.txt": bristlecone(
             72, lambda r, c: c <= 2, row_split=6, cut_cols=(7, 8, 9, 10)),
     }
+
+
+def main():
     OUT_DIR.mkdir(parents=True, exist_ok=True)
-    for fname, plan in plans.items():
+    for fname, plan in shipped_plans().items():
         lat = Lattice.named(plan.lattice_kind)
         plan.analyze(lat)  # sanity: every file parses back clean
         path = OUT_DIR / fname
