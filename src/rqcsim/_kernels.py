@@ -1,6 +1,7 @@
 """Low-level data-movement and gate-application kernels.
 
-Two interchangeable backends are provided:
+The permutation moves (:func:`l_move`, :func:`r_move`) have two
+interchangeable backends:
 
 * ``numba``: JIT-compiled, multi-threaded kernels (the default when numba
   imports cleanly).
@@ -11,10 +12,14 @@ Both backends perform identical data movement, so permutation outputs are
 byte-for-byte equal regardless of backend or thread count.  The active
 backend can also be switched at runtime with :func:`set_backend`, which the
 benchmark harness uses to time one against the other.
+
+The state-vector gate kernels of the reference simulator are NumPy only
+and ignore the backend.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 
 import numpy as np
@@ -67,17 +72,19 @@ def set_backend(name: str) -> str:
     return prev
 
 
-def max_threads() -> int:
-    if _HAVE_NUMBA:
-        return numba.config.NUMBA_NUM_THREADS
-    return 1
+def effective_threads(requested: int) -> int:
+    """Threads the permutation moves really use when asked for ``requested``:
+    1 on the numpy backend, at most numba's pool size on numba."""
+    if _backend != "numba":
+        return 1
+    return max(1, min(int(requested), numba.config.NUMBA_NUM_THREADS))
 
 
 class _thread_scope:
     """Temporarily pin the numba thread count (no-op on the numpy backend)."""
 
     def __init__(self, threads: int):
-        self.threads = max(1, min(int(threads), max_threads()))
+        self.threads = effective_threads(threads)
         self._saved = None
 
     def __enter__(self):
@@ -154,119 +161,79 @@ def r_move(src: np.ndarray, dst: np.ndarray, col_map: np.ndarray, d_gamma: int,
 # ---------------------------------------------------------------------------
 # State-vector gate kernels (used by the oracle).
 #
-# Basis-state index convention: qubit 0 is the most significant bit, so the
-# bit position of qubit q in an n-qubit index is (n - 1 - q).
+# They are NumPy-only whatever the backend, so the reference shares no
+# backend with the engine it checks.  Each works in place on the (2,)*n
+# view of the state, where qubit q is axis q, by slicing that axis.  A
+# kernel that needs a temporary walks the state in pieces, fixing leading
+# axes it does not act on, so its few passes over a piece hit cache and
+# its temporaries stay piece-sized.
 # ---------------------------------------------------------------------------
 
-
-@njit(cache=True, parallel=True)
-def _apply_1q_numba(state, g00, g01, g10, g11, bit):  # pragma: no cover
-    stride = 1 << bit
-    half = state.shape[0] >> 1
-    for i in prange(half):
-        low = i & (stride - 1)
-        i0 = ((i >> bit) << (bit + 1)) | low
-        i1 = i0 | stride
-        a = state[i0]
-        b = state[i1]
-        state[i0] = g00 * a + g01 * b
-        state[i1] = g10 * a + g11 * b
+# Amplitudes per slice of a piece: 2^14 complex128 is 256 KiB, so a
+# one-qubit gate's two slices and two temporaries fit a 2 MiB L2 cache.
+_PIECE_QUBITS = 14
 
 
-def apply_1q(state: np.ndarray, gate: np.ndarray, bit: int) -> None:
-    """Apply a 2x2 gate in place to the qubit at the given bit position."""
-    if _backend == "numba":
-        _apply_1q_numba(state, gate[0, 0], gate[0, 1], gate[1, 0], gate[1, 1], bit)
-    else:
-        stride = 1 << bit
-        s = state.reshape(-1, 2, stride)
-        a = s[:, 0, :].copy()
-        b = s[:, 1, :].copy()
-        s[:, 0, :] = gate[0, 0] * a + gate[0, 1] * b
-        s[:, 1, :] = gate[1, 0] * a + gate[1, 1] * b
+def _at(n: int, fixed: dict[int, int]) -> tuple:
+    """Index of the slice where each qubit in ``fixed`` holds its value.
+
+    The trailing Ellipsis keeps the result a view even when every axis is
+    fixed.
+    """
+    idx: list = [slice(None)] * n
+    for q, v in fixed.items():
+        idx[q] = v
+    return (*idx, ...)
 
 
-@njit(cache=True, parallel=True)
-def _apply_2q_numba(state, g, bit_a, bit_b):  # pragma: no cover
-    sa = 1 << bit_a
-    sb = 1 << bit_b
-    hi_bit = bit_a if bit_a > bit_b else bit_b
-    lo_bit = bit_b if bit_a > bit_b else bit_a
-    quarter = state.shape[0] >> 2
-    for i in prange(quarter):
-        low = i & ((1 << lo_bit) - 1)
-        mid = ((i >> lo_bit) << (lo_bit + 1)) | low
-        mid_low = mid & ((1 << hi_bit) - 1)
-        base = ((mid >> hi_bit) << (hi_bit + 1)) | mid_low
-        i00 = base
-        i01 = base | sb
-        i10 = base | sa
-        i11 = base | sa | sb
-        a00 = state[i00]
-        a01 = state[i01]
-        a10 = state[i10]
-        a11 = state[i11]
-        state[i00] = g[0, 0] * a00 + g[0, 1] * a01 + g[0, 2] * a10 + g[0, 3] * a11
-        state[i01] = g[1, 0] * a00 + g[1, 1] * a01 + g[1, 2] * a10 + g[1, 3] * a11
-        state[i10] = g[2, 0] * a00 + g[2, 1] * a01 + g[2, 2] * a10 + g[2, 3] * a11
-        state[i11] = g[3, 0] * a00 + g[3, 1] * a01 + g[3, 2] * a10 + g[3, 3] * a11
+def _pieces(n: int, busy: tuple[int, ...]):
+    """Yield the values of the leading axes outside ``busy`` that cut the
+    state into pieces, each slice of at most 2^_PIECE_QUBITS amplitudes.
+    There are at least two pieces, so no temporary exceeds a quarter of the
+    state."""
+    free = [p for p in range(n) if p not in busy]
+    outer = free[:max(1, len(free) - _PIECE_QUBITS)]
+    for bits in itertools.product((0, 1), repeat=len(outer)):
+        yield dict(zip(outer, bits))
 
 
-def apply_2q(state: np.ndarray, gate: np.ndarray, bit_a: int, bit_b: int) -> None:
-    """Apply a 4x4 gate in place; basis order of the gate is (qa, qb)."""
-    if _backend == "numba":
-        _apply_2q_numba(state, np.ascontiguousarray(gate), bit_a, bit_b)
-    else:
-        n = state.shape[0].bit_length() - 1
-        t = state.reshape((2,) * n)
-        axis_a = n - 1 - bit_a
-        axis_b = n - 1 - bit_b
-        moved = np.moveaxis(t, (axis_a, axis_b), (0, 1)).reshape(4, -1)
-        moved[:] = gate @ moved
+def apply_1q(state: np.ndarray, gate: np.ndarray, q: int) -> None:
+    """Apply a 2x2 gate in place to qubit q of a (2,)*n state."""
+    (g00, g01), (g10, g11) = gate
+    n = state.ndim
+    ga = gb = None
+    for fixed in _pieces(n, (q,)):
+        a = state[_at(n, {**fixed, q: 0})]
+        b = state[_at(n, {**fixed, q: 1})]
+        if ga is None:  # g10*a and g01*b, reused by every piece
+            ga, gb = np.empty_like(a), np.empty_like(b)
+        np.multiply(a, g10, out=ga)
+        np.multiply(b, g01, out=gb)
+        a *= g00
+        a += gb
+        b *= g11
+        b += ga
 
 
-@njit(cache=True, parallel=True)
-def _apply_diag_numba(state, cz_a, cz_b, t_mask):  # pragma: no cover
-    # Phase pass for one cycle: every CZ contributes -1 on |11>, every T
-    # contributes exp(i*pi/4) on |1>.
-    n = state.shape[0]
-    w = np.complex128(np.exp(1j * np.pi / 4))
-    n_cz = cz_a.shape[0]
-    for i in prange(n):
-        sign = 1.0
-        for k in range(n_cz):
-            if (i >> cz_a[k]) & 1 and (i >> cz_b[k]) & 1:
-                sign = -sign
-        tm = i & t_mask
-        cnt = 0
-        while tm:
-            tm &= tm - 1
-            cnt += 1
-        state[i] = state[i] * (sign * w ** cnt)
+def apply_diag(state: np.ndarray, qubits: tuple[int, ...], phase: complex) -> None:
+    """Multiply the amplitudes where every listed qubit is 1 by ``phase``.
+
+    This is T on one qubit (phase e^{i pi/4}) and CZ on two (phase -1).
+    """
+    ones = state[_at(state.ndim, {q: 1 for q in qubits})]
+    ones *= phase
 
 
-def apply_diag(state: np.ndarray, cz_bits: list[tuple[int, int]],
-               t_bits: list[int]) -> None:
-    """Apply all CZ and T gates of one cycle as a single diagonal pass."""
-    if not cz_bits and not t_bits:
-        return
-    t_mask = 0
-    for b in t_bits:
-        t_mask |= 1 << b
-    if _backend == "numba":
-        cz_a = np.array([a for a, _ in cz_bits], dtype=np.int64)
-        cz_b = np.array([b for _, b in cz_bits], dtype=np.int64)
-        _apply_diag_numba(state, cz_a, cz_b, t_mask)
-    else:
-        idx = np.arange(state.shape[0], dtype=np.int64)
-        phase = np.ones(state.shape[0], dtype=np.complex128)
-        for a, b in cz_bits:
-            both = ((idx >> a) & 1) & ((idx >> b) & 1)
-            phase[both == 1] *= -1.0
-        if t_mask:
-            cnt = np.zeros(state.shape[0], dtype=np.int64)
-            for b in t_bits:
-                cnt += (idx >> b) & 1
-            phase *= np.exp(1j * np.pi / 4) ** cnt
-        state *= phase
-
+def apply_iswap(state: np.ndarray, a: int, b: int) -> None:
+    """Apply iSWAP in place to qubits (a, b) of a (2,)*n state:
+    |01> and |10> trade places, each picking up a factor i."""
+    n = state.ndim
+    tmp = None
+    for fixed in _pieces(n, (a, b)):
+        x01 = state[_at(n, {**fixed, a: 0, b: 1})]
+        x10 = state[_at(n, {**fixed, a: 1, b: 0})]
+        if tmp is None:
+            tmp = np.empty_like(x01)
+        np.multiply(x01, 1j, out=tmp)
+        np.multiply(x10, 1j, out=x01)
+        x10[...] = tmp

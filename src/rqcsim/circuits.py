@@ -427,6 +427,8 @@ def parse_circuit(text: str, lattice: Optional[Lattice] = None) -> Circuit:
         n = int(lines[0].strip())
     except ValueError:
         raise CircuitFormatError("first line must be the qubit count", 1) from None
+    if n < 2:
+        raise CircuitFormatError(f"qubit count must be at least 2, got {n}", 1)
 
     meta: dict[str, str] = {}
     raw_gates: list[tuple[int, int, str, tuple[int, ...]]] = []

@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import analysis, oracle
+from . import _kernels, analysis, oracle
 from .amplitude_engine import (AmplitudeEngine, FidelitySpec, amplitude_record,
                                batch_records, read_amplitudes, write_amplitudes)
 from .circuits import (CircuitFormatError, DepthSpec, Lattice, generate_rqc,
@@ -266,12 +266,16 @@ def _make_engine(args, circuit, batch: bool = False):
     if args.plan == "auto" and budget is not None:
         plan = builtin_plan(circuit.lattice, circuit.depth, memory_budget=budget,
                             open_sites=c_sites, itemsize=dtype.itemsize)
-    threads = args.threads if args.threads else _default_threads()
+    threads = _threads_arg(args)
     if threads < 1:
         raise UsageError("--threads must be >= 1")
     engine = AmplitudeEngine(circuit, plan, dtype=dtype, thread_count=threads,
                              memory_budget=budget)
     return engine, c_sites
+
+
+def _threads_arg(args) -> int:
+    return args.threads if args.threads else _default_threads()
 
 
 def _fidelity(args) -> FidelitySpec:
@@ -303,13 +307,15 @@ def _c_sites_arg(args, circuit, plan) -> tuple[int, ...]:
 
 
 def _config_echo(args, command: str, **extra) -> dict:
-    cfg = {"command": command}
+    cfg = {"command": command, "backend": _kernels.get_backend()}
     for key in ("circuit", "lattice", "depth", "seed", "plan", "precision",
                 "threads", "memory_budget", "fidelity", "in_bits", "out_bits",
                 "s_ab", "c_sites", "n_c", "m", "target", "samples", "tol",
                 "bins", "batches", "scheme", "rank", "gammas", "repeats"):
         if hasattr(args, key) and getattr(args, key) is not None:
             cfg[key] = getattr(args, key)
+    if hasattr(args, "precision"):  # the commands that run the engine
+        cfg["effective_threads"] = _kernels.effective_threads(_threads_arg(args))
     cfg.update(extra)
     return cfg
 

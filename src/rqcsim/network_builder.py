@@ -3,15 +3,17 @@
 The network is assembled in two stages.  ``build_3d`` makes one small
 block tensor per qubit per 8-cycle window: single-qubit gates multiply
 into the block along its time index, while each two-qubit gate leaves a
-dimension-2 bond index shared with the neighbor's block (two-qubit gates
-enter in rank-revealing factored form, so a CZ costs one binary index
-instead of a dense 4x4 link).  Input/output basis states fold into the
-first/last blocks; selected outputs may stay open.
+bond index shared with the neighbor's block (two-qubit gates enter in
+rank-revealing factored form, so a CZ costs one binary index and an
+iSWAP one of dimension 4, instead of a dense 4x4 link).  Input/output
+basis states fold into the first/last blocks; selected outputs may stay
+open.
 
 ``contract_time`` then collapses each qubit's blocks along time and
-merges the per-window bonds of every lattice edge into a single index of
-dimension 2^(number of activations), yielding one tensor per site -- a
-2D network shaped like the lattice, ready for the contraction planner.
+merges the per-window bonds of every lattice edge into a single index
+whose dimension is the product of their Schmidt ranks, yielding one
+tensor per site -- a 2D network shaped like the lattice, ready for the
+contraction planner.
 """
 
 from __future__ import annotations
@@ -205,7 +207,8 @@ def build_3d(circuit: Circuit, in_bits=0, out_bits=None,
                     arr = arr[..., int(out_s[q])]
             else:
                 labels.append(time_bond(q, w + 1))
-            stack.append(Tensor(tuple(labels), np.ascontiguousarray(arr.astype(dtype))))
+            # astype, not ascontiguousarray, which would promote a 0-d block
+            stack.append(Tensor(tuple(labels), arr.astype(dtype, order="C")))
         blocks[q] = stack
     return Net3D(circuit, blocks, nw, in_s, out_s, opens, np.dtype(dtype))
 
@@ -243,7 +246,7 @@ def contract_time(net: Net3D, fold_corners: bool = True) -> Net2D:
         merged = edge_label(a, b)
         for site in (a, b):
             tensors[site] = _merge_labels(tensors[site], merged, members)
-        bond_dim[(a, b)] = 1 << len(members)
+        bond_dim[(a, b)] = tensors[a].dim_of(merged)
 
     # canonical index order: merged edges by neighbor pair, then open outputs
     for site, t in tensors.items():

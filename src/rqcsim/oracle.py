@@ -1,16 +1,20 @@
 """Dense state-vector reference simulator.
 
-Independent of the tensor-network machinery: gates are applied cycle by
-cycle to a full 2^n state vector in double precision.  Diagonal cycles
-(CZ layers plus T gates) are fused into a single phase pass.  Used for
-cross-checking amplitudes, distributions, and sampling statistics on
-small circuits; refuses systems above `MAX_QUBITS`.
+Independent of the tensor-network machinery: gates are applied one by
+one, cycle by cycle, to a full 2^n state vector in double precision.  The
+NumPy kernels work in place on the (2,)*n view of the state, so a run
+needs little more memory than the state.  Used for cross-checking
+amplitudes, distributions, and sampling statistics on small circuits;
+refuses systems above `MAX_QUBITS`.
 
 Conventions: qubit 0 is the most significant bit of the state index, so
-bit-string '10...0' (qubit 0 set) maps to index 2^(n-1).
+bit-string '10...0' (qubit 0 set) maps to index 2^(n-1), and qubit q is
+axis q of the (2,)*n view.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -48,36 +52,40 @@ def index_to_bits(index: int, n: int) -> str:
     return format(index, f"0{n}b")
 
 
+def _index(bits: str | int, n: int) -> int:
+    """State index of a basis state given as an n-char bit-string or an int."""
+    if isinstance(bits, str):
+        if len(bits) != n or set(bits) - {"0", "1"}:
+            raise ValueError(f"bit-string must be {n} chars of 0/1, got {bits!r}")
+        return bits_to_index(bits)
+    index = operator.index(bits)
+    if not 0 <= index < 1 << n:
+        raise ValueError(f"basis index {bits} outside 0..{(1 << n) - 1}")
+    return index
+
+
 def evolve(circuit: Circuit, in_bits: str | int = 0) -> np.ndarray:
     """Full output state vector for a computational-basis input."""
     _check_size(circuit)
     n = circuit.n
     state = np.zeros(1 << n, dtype=np.complex128)
-    state[bits_to_index(in_bits) if isinstance(in_bits, str) else in_bits] = 1.0
+    state[_index(in_bits, n)] = 1.0
+    view = state.reshape((2,) * n)
 
     for gates in circuit.by_cycle():
-        cz_bits = []
-        t_bits = []
         for g in gates:
-            if g.name == "cz":
-                a, b = g.qubits
-                cz_bits.append((n - 1 - a, n - 1 - b))
-            elif g.name == "t":
-                t_bits.append(n - 1 - g.qubits[0])
-            elif len(g.qubits) == 1:
-                _kernels.apply_1q(state, GATE_MATRIX[g.name], n - 1 - g.qubits[0])
+            if g.name in ("cz", "t"):  # 1 but on |1..1>: the last entry
+                _kernels.apply_diag(view, g.qubits, GATE_MATRIX[g.name][-1, -1])
+            elif g.name == "iswap":
+                _kernels.apply_iswap(view, *g.qubits)
             else:
-                a, b = g.qubits
-                _kernels.apply_2q(state, GATE_MATRIX[g.name], n - 1 - a, n - 1 - b)
-        if cz_bits or t_bits:
-            _kernels.apply_diag(state, cz_bits, t_bits)
+                _kernels.apply_1q(view, GATE_MATRIX[g.name], g.qubits[0])
     return state
 
 
 def exact_amplitude(circuit: Circuit, in_bits: str | int, out_bits: str | int) -> complex:
-    state = evolve(circuit, in_bits)
-    idx = bits_to_index(out_bits) if isinstance(out_bits, str) else out_bits
-    return complex(state[idx])
+    out = _index(out_bits, circuit.n)
+    return complex(evolve(circuit, in_bits)[out])
 
 
 def exact_distribution(circuit: Circuit, in_bits: str | int = 0) -> np.ndarray:

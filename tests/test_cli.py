@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from rqcsim import cli, contraction_plan
+from rqcsim import _kernels, cli, contraction_plan
 
 
 def run(capsys, *argv):
@@ -66,6 +66,20 @@ class TestAmplitude:
         assert "config" in head
         assert rec["in"] == "0" * 12
         assert isinstance(rec["re"], float) and isinstance(rec["im"], float)
+
+    def test_config_echoes_backend_and_effective_threads(self, circuit_file,
+                                                          capsys):
+        code, out, _ = run(
+            capsys, "amplitude", "--circuit", str(circuit_file), "--out",
+            "0" * 12, "--threads", "8",
+        )
+        assert code == 0
+        cfg = json.loads(out.splitlines()[0])["config"]
+        assert cfg["threads"] == 8
+        assert cfg["backend"] == _kernels.get_backend()
+        assert cfg["effective_threads"] == _kernels.effective_threads(8)
+        if cfg["backend"] == "numpy":
+            assert cfg["effective_threads"] == 1
 
     def test_batch_mode_emits_n_c_records(self, circuit_file, capsys):
         code, out, _ = run(
@@ -295,6 +309,15 @@ class TestExitCodes:
         )
         assert code == 2
         assert err.startswith("resource error: Unable to allocate")
+
+    @pytest.mark.parametrize("header", ["0", "-4", "1"])
+    def test_qubit_count_below_two_is_1(self, tmp_path, capsys, header):
+        path = tmp_path / "c.txt"
+        path.write_text(header + "\n")
+        code, _, err = run(capsys, "amplitude", "--circuit", str(path),
+                           "--out", "0")
+        assert code == 1
+        assert err.startswith("error:") and "at least 2" in err
 
     def test_help_is_0(self, capsys):
         assert cli.main(["--help"]) == 0

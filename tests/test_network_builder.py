@@ -47,9 +47,15 @@ class TestGateTensors:
 
 
 class TestClosedContraction:
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_matches_reference_2x2(self, grid_2x2, seed):
-        circ = generate_rqc(grid_2x2, "1+8+1", seed=seed)
+    # 1+1+1 seed 1 leaves a qubit without a two-qubit gate: a 0-d block
+    @pytest.mark.parametrize("depth,seed", [
+        pytest.param("1+8+1", 0, id="0"),
+        pytest.param("1+8+1", 1, id="1"),
+        pytest.param("1+8+1", 2, id="2"),
+        pytest.param("1+1+1", 1, id="1+1+1-1"),
+    ])
+    def test_matches_reference_2x2(self, grid_2x2, depth, seed):
+        circ = generate_rqc(grid_2x2, depth, seed=seed)
         state = oracle.evolve(circ)
         for out in (0, 7, 15):
             assert np.isclose(

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from rqcsim import oracle
+from rqcsim import _kernels, oracle
+from rqcsim.amplitude_engine import AmplitudeEngine
 from rqcsim.circuits import Circuit, DepthSpec, Gate, Lattice, generate_rqc
+from rqcsim.contraction_plan import grid_plan
 
 I2 = np.eye(2, dtype=np.complex128)
 
@@ -100,11 +104,25 @@ class TestEvolve:
             got = oracle.evolve(circ, in_idx)
             assert np.allclose(got, u[:, in_idx], atol=1e-10)
 
-    def test_iswap_circuit_matches_dense_unitary(self):
-        lat = Lattice.rectangle(1, 3)
-        circ = generate_rqc(lat, "1+5+1", seed=2, two_qubit_gate="iswap")
-        u = dense_unitary(circ)
-        assert np.allclose(oracle.evolve(circ), u[:, 0], atol=1e-10)
+    # On grid:1x3 every qubit pair is the leading or trailing two axes, so
+    # it cannot catch a gate applied to a copy of the state; the others
+    # can.  The one- and two-cut plans slice iSWAP bonds of dimension 4^k.
+    @pytest.mark.parametrize("kind,depth,seed,cuts", [
+        ("grid:1x3", "1+5+1", 2, (1,)),
+        ("grid:2x2", "1+8+1", 1, (1, 2)),
+        ("grid:1x4", "1+8+1", 1, (1,)),
+        ("grid:2x3", "1+8+1", 1, (1, 2)),
+    ], ids=["grid:1x3", "grid:2x2", "grid:1x4", "grid:2x3"])
+    def test_iswap_circuit_matches_dense_unitary(self, kind, depth, seed, cuts):
+        circ = generate_rqc(Lattice.named(kind), depth, seed=seed,
+                            two_qubit_gate="iswap")
+        want = dense_unitary(circ)[:, 0]
+        assert np.allclose(oracle.evolve(circ), want, atol=1e-10)
+        plans = [None] + [grid_plan(circ.lattice, n_cuts=k) for k in cuts]
+        for plan in plans:
+            engine = AmplitudeEngine(circ, plan, dtype=np.complex128)
+            got = [engine.amplitude(0, out)[0] for out in range(circ.N)]
+            assert np.allclose(got, want, atol=1e-10), plan
 
     def test_norm_preserved(self, circuit_3x4_t16, state_3x4_t16):
         assert np.isclose(np.linalg.norm(state_3x4_t16), 1.0, atol=1e-10)
@@ -127,11 +145,82 @@ class TestEvolve:
         state = oracle.evolve(circ)
         assert np.allclose(state, np.array([1, 1, 1, -1]) / 2, atol=1e-12)
 
+    def test_peak_memory_stays_near_the_state(self, circuit_4x4_t16):
+        tracemalloc.start()
+        try:
+            state = oracle.evolve(circuit_4x4_t16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * state.nbytes
+
+    @pytest.mark.parametrize("bits", [-1, -16, 16, "11", "00000", "01a1"])
+    def test_rejects_bits_outside_the_register(self, grid_2x2, bits):
+        circ = generate_rqc(grid_2x2, "1+4+1", seed=1)
+        with pytest.raises(ValueError):
+            oracle.evolve(circ, bits)
+        with pytest.raises(ValueError):
+            oracle.exact_amplitude(circ, 0, bits)
+
     def test_size_cap(self):
         lat = Lattice.rectangle(4, 7)  # 28 qubits > cap
         circ = generate_rqc(lat, "1+2+1", seed=0)
         with pytest.raises(ValueError):
             oracle.evolve(circ)
+
+
+class TestKernels:
+    """Each in-place kernel on a random 5-qubit state against the matrix
+    built by kron products, walking the state in two pieces (the default
+    on 5 qubits) and in pieces with one-amplitude slices."""
+
+    N_QUBITS = 5
+
+    @pytest.fixture(autouse=True, params=[14, 0])
+    def piece_qubits(self, request, monkeypatch):
+        monkeypatch.setattr(_kernels, "_PIECE_QUBITS", request.param)
+
+    def random_state(self):
+        rng = np.random.default_rng(7)
+        dim = 2 ** self.N_QUBITS
+        return rng.normal(size=dim) + 1j * rng.normal(size=dim)
+
+    @pytest.mark.parametrize("name", ["h", "t", "x_1_2", "y_1_2"])
+    def test_one_qubit_gate_on_every_qubit(self, name):
+        n = self.N_QUBITS
+        for q in range(n):
+            psi = self.random_state()
+            factors = [I2] * n
+            factors[q] = oracle.GATE_MATRIX[name]
+            want = kron_chain(*factors) @ psi
+            _kernels.apply_1q(psi.reshape((2,) * n), oracle.GATE_MATRIX[name], q)
+            assert np.abs(psi - want).max() <= 1e-14, q
+
+    def test_t_on_every_qubit(self):
+        n = self.N_QUBITS
+        for q in range(n):
+            psi = self.random_state()
+            factors = [I2] * n
+            factors[q] = oracle.T
+            want = kron_chain(*factors) @ psi
+            _kernels.apply_diag(psi.reshape((2,) * n), (q,), oracle.T[1, 1])
+            assert np.abs(psi - want).max() <= 1e-14, q
+
+    @pytest.mark.parametrize("name", ["cz", "iswap"])
+    def test_two_qubit_gate_on_every_ordered_pair(self, name):
+        n = self.N_QUBITS
+        for a in range(n):
+            for b in range(n):
+                if a == b:
+                    continue
+                psi = self.random_state()
+                want = two_qubit_embed(oracle.GATE_MATRIX[name], a, b, n) @ psi
+                view = psi.reshape((2,) * n)
+                if name == "cz":
+                    _kernels.apply_diag(view, (a, b), -1.0)
+                else:
+                    _kernels.apply_iswap(view, a, b)
+                assert np.abs(psi - want).max() <= 1e-14, (a, b)
 
 
 class TestAmplitudeAndDistribution:
