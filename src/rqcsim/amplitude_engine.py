@@ -91,8 +91,10 @@ class AmplitudeEngine:
                  *, dtype=np.complex64, thread_count: int = 1,
                  memory_budget: Optional[int] = None):
         self.circuit = circuit
-        self.plan = plan if plan is not None else builtin_plan(circuit.lattice)
         self.dtype = np.dtype(dtype)
+        self.plan = plan if plan is not None else builtin_plan(
+            circuit.lattice, circuit.depth, itemsize=self.dtype.itemsize,
+            two_qubit_gate=circuit.two_qubit_gate)
         self.thread_count = thread_count
         self.memory_budget = memory_budget
         self._nets: dict[str, Net2D] = {}  # in_bits -> all-outputs-open network
@@ -221,7 +223,9 @@ def mixed_state_samples(circuit: Circuit, f: float, count: int,
 def amplitude_record(in_bits: str, out_bits: str, amplitude: complex,
                      fidelity: FidelitySpec, stats: PathStats) -> dict:
     """One JSON-ready record; ``f_achieved_estimate`` is N * |a|^2, whose
-    mean over many random bit-strings estimates the achieved fidelity."""
+    mean over many random bit-strings estimates the achieved fidelity, and
+    ``flops`` and ``peak_bytes`` are those of the contraction that gave
+    the amplitude (for a batch entry, of the whole batch)."""
     a = complex(amplitude)
     return {
         "in": in_bits,
@@ -232,6 +236,8 @@ def amplitude_record(in_bits: str, out_bits: str, amplitude: complex,
         "f_achieved_estimate": (2 ** len(in_bits)) * abs(a) ** 2,
         "paths": stats.paths_used,
         "seed": fidelity.seed,
+        "flops": stats.flops,
+        "peak_bytes": stats.peak_bytes,
     }
 
 

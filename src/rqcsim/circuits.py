@@ -265,6 +265,14 @@ class Circuit:
     def two_qubit_gates(self) -> list[Gate]:
         return [g for g in self.gates if len(g.qubits) == 2]
 
+    @property
+    def two_qubit_gate(self) -> str:
+        """The circuit's two-qubit gate ("cz" if it has none); of a mix,
+        the one of highest Schmidt rank, so bonds priced by it are never
+        smaller than the network's."""
+        names = {g.name for g in self.two_qubit_gates()} or {"cz"}
+        return max(names, key=SCHMIDT_RANK.__getitem__)
+
     def __eq__(self, other):
         return (isinstance(other, Circuit)
                 and self.lattice.sites == other.lattice.sites

@@ -34,7 +34,7 @@ from .amplitude_engine import (AmplitudeEngine, FidelitySpec, amplitude_record,
 from .circuits import (CircuitFormatError, DepthSpec, Lattice, generate_rqc,
                        parse_circuit, write_circuit)
 from .contraction_plan import (MemoryBudgetError, PlanError, builtin_plan,
-                               load_plan)
+                               estimate_cost, load_plan)
 from .partition_cost import best_partition, complexity_table, table_csv
 from .sampler import SamplerConfig, required_batches, sample_circuit, write_samples
 from .tensor_core import benchmark_csv, benchmark_permute
@@ -251,27 +251,41 @@ def _load_circuit(args):
 
 
 def _make_engine(args, circuit, batch: bool = False):
-    """The engine the arguments ask for, and for a batch command the open
-    sites; a memory budget is priced at those sites and the precision."""
+    """The engine the arguments ask for, its plan's price for the config
+    echo, and for a batch command the open sites.  The plan is priced at
+    those sites, the precision and the circuit's two-qubit gate: the
+    automatic plan is chosen by that price and cut to fit a memory budget,
+    and every plan is checked against the budget before it runs."""
     budget = _parse_bytes(args.memory_budget) if args.memory_budget else None
+    dtype = np.dtype(np.complex64 if args.precision == "single" else np.complex128)
+    c_sites = _c_sites_arg(args, circuit) if batch else ()
     if args.plan == "auto":
-        plan = builtin_plan(circuit.lattice)
+        if c_sites is None:  # every placement and cut count batches over one region
+            c_sites = builtin_plan(circuit.lattice).batch_sites
+        plan = builtin_plan(circuit.lattice, circuit.depth, memory_budget=budget,
+                            open_sites=c_sites, itemsize=dtype.itemsize,
+                            two_qubit_gate=circuit.two_qubit_gate)
     else:
         try:
             plan = load_plan(args.plan)
         except (OSError, PlanError) as e:
             raise UsageError(f"bad plan {args.plan}: {e}")
-    c_sites = _c_sites_arg(args, circuit, plan) if batch else ()
-    dtype = np.dtype(np.complex64 if args.precision == "single" else np.complex128)
-    if args.plan == "auto" and budget is not None:
-        plan = builtin_plan(circuit.lattice, circuit.depth, memory_budget=budget,
-                            open_sites=c_sites, itemsize=dtype.itemsize)
+        if c_sites is None:
+            c_sites = plan.batch_sites
+    if batch and not c_sites:
+        raise UsageError("plan has no batch region; give --c-sites")
     threads = _threads_arg(args)
     if threads < 1:
         raise UsageError("--threads must be >= 1")
     engine = AmplitudeEngine(circuit, plan, dtype=dtype, thread_count=threads,
                              memory_budget=budget)
-    return engine, c_sites
+    cost = estimate_cost(plan, circuit.lattice, circuit.depth, open_sites=c_sites,
+                         itemsize=dtype.itemsize,
+                         two_qubit_gate=circuit.two_qubit_gate)
+    plan_echo = {"plan_flops": cost.total_flops,
+                 "plan_peak_bytes": cost.peak_bytes,
+                 "c_joins": plan.c_join_step()}
+    return engine, c_sites, plan_echo
 
 
 def _threads_arg(args) -> int:
@@ -294,12 +308,11 @@ def _bits_arg(value: Optional[str], n: int, default: str = "0") -> str:
     return s
 
 
-def _c_sites_arg(args, circuit, plan) -> tuple[int, ...]:
+def _c_sites_arg(args, circuit) -> Optional[tuple[int, ...]]:
+    """--c-sites as sorted sites, or None for 'auto' (the plan's batch
+    region)."""
     if args.c_sites is None or args.c_sites == "auto":
-        sites = plan.batch_sites
-        if not sites:
-            raise UsageError("plan has no batch region; give --c-sites")
-        return tuple(sites)
+        return None
     sites = tuple(sorted(_parse_int_list(args.c_sites)))
     if any(not 0 <= s < circuit.n for s in sites):
         raise UsageError(f"--c-sites outside 0..{circuit.n - 1}")
@@ -353,8 +366,10 @@ def _cmd_amplitude(args) -> int:
                     "oracle": True}]
         cfg = _config_echo(args, "amplitude", oracle=True)
     else:
-        engine, c_sites = _make_engine(args, circuit, batch=args.out_bits is None)
-        cfg = _config_echo(args, "amplitude", plan_kind=engine.plan.lattice_kind)
+        engine, c_sites, plan_echo = _make_engine(args, circuit,
+                                               batch=args.out_bits is None)
+        cfg = _config_echo(args, "amplitude", plan_kind=engine.plan.lattice_kind,
+                           **plan_echo)
         if args.out_bits is not None:
             out = _bits_arg(args.out_bits, circuit.n)
             amp, stats = engine.amplitude(in_bits, out, fidelity=fid)
@@ -373,7 +388,7 @@ def _cmd_amplitude(args) -> int:
 
 def _cmd_sample(args) -> int:
     circuit = _load_circuit(args)
-    engine, c_sites = _make_engine(args, circuit, batch=True)
+    engine, c_sites, plan_echo = _make_engine(args, circuit, batch=True)
     in_bits = _bits_arg(args.in_bits, circuit.n)
     n_c = args.n_c or min(32, 2 ** len(c_sites))
     try:
@@ -385,7 +400,8 @@ def _cmd_sample(args) -> int:
                          max_batches=args.max_batches)
     cfg = _config_echo(args, "sample", c_sites=list(c_sites), n_c=n_c,
                        planned_batches=required_batches(args.m, n_c,
-                                                        args.target))
+                                                        args.target),
+                       **plan_echo)
     with _open_out(args) as fh:
         fh.write(f"# config: {json.dumps(cfg)}\n")
         write_samples(fh, run)
@@ -394,7 +410,7 @@ def _cmd_sample(args) -> int:
 
 def _cmd_verify(args) -> int:
     circuit = _load_circuit(args)
-    engine, _ = _make_engine(args, circuit)
+    engine, _, plan_echo = _make_engine(args, circuit)
     if circuit.n > oracle.MAX_QUBITS:
         raise MemoryBudgetError(
             f"verification needs the reference simulator; "
@@ -413,7 +429,7 @@ def _cmd_verify(args) -> int:
         if want != 0:
             max_rel = max(max_rel, diff / abs(want))
     ok = max_abs <= args.tol
-    report = {"config": _config_echo(args, "verify"),
+    report = {"config": _config_echo(args, "verify", **plan_echo),
               "samples": args.samples, "max_abs_diff": max_abs,
               "max_rel_err": max_rel, "tolerance": args.tol,
               "pass": bool(ok)}
@@ -448,7 +464,7 @@ def _cmd_analyze_pt(args) -> int:
 
 def _cmd_analyze_pearson(args) -> int:
     circuit = _load_circuit(args)
-    engine, c_sites = _make_engine(args, circuit, batch=True)
+    engine, c_sites, plan_echo = _make_engine(args, circuit, batch=True)
     n_c = min(args.n_c, 2 ** len(c_sites))
     rng = np.random.Generator(np.random.PCG64(args.seed))
     batches = []
@@ -459,7 +475,8 @@ def _cmd_analyze_pearson(args) -> int:
                                               seed=args.seed,
                                               fidelity=_fidelity(args)))
     report = analysis.pearson_vs_hamming(batches)
-    cfg = _config_echo(args, "analyze pearson", c_sites=list(c_sites), n_c=n_c)
+    cfg = _config_echo(args, "analyze pearson", c_sites=list(c_sites), n_c=n_c,
+                       **plan_echo)
     with _open_out(args) as fh:
         fh.write(f"# config: {json.dumps(cfg)}\n")
         fh.write(f"# pairs: {len(report.r)}\n")

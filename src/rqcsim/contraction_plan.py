@@ -36,7 +36,11 @@ a plan accepted under a memory budget also runs under it.
 
 ``builtin_plan`` returns hand-tuned plans (shipped as text files) for the
 Bristlecone lattices and the 7x7 grid, and generates a balanced two-region
-plan for any other rectangle.
+plan for any other rectangle.  A generated plan's batch region C joins
+in one of two places: last, after the A x B join, or early, its core
+contracted into B's before the loops.  Given the run's depth, open sites,
+precision and two-qubit gate, ``builtin_plan`` prices both and keeps the
+one with fewer flops (C last on a tie).
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .circuits import DepthSpec, Lattice, edge_activations
+from .circuits import SCHMIDT_RANK, DepthSpec, Lattice, edge_activations
 from .network_builder import Net2D, edge_label, out_label
 from .tensor_core import Tensor, contract, scratch_copies, trim_scratch
 
@@ -138,6 +142,20 @@ class ContractionPlan:
             else:
                 dims.append(math.prod(bond_dims.get(b, 1) for b in cut.bonds))
         return tuple(dims)
+
+    def c_join_step(self) -> Optional[str]:
+        """The step where the batch region first meets other sites: ``B0C``
+        when C joins B's core before the loops, ``result`` when C joins
+        last; None without a batch region."""
+        region = set(self.batch_sites)
+        holds: dict[str, set[bool]] = {}  # name -> {is a C site} over its sites
+        for step in self.steps():
+            holds[step.name] = set().union(*(
+                {int(name[1:]) in region} if _SITE_RE.fullmatch(name)
+                else holds[name] for name in step.inputs))
+            if len(holds[step.name]) == 2:
+                return step.name
+        return None
 
     def analyze(self, lattice: Lattice) -> "PlanAnalysis":
         return _analyze(self, lattice)
@@ -631,19 +649,22 @@ def _priced(plan: ContractionPlan, lattice: Lattice,
 
 def estimate_cost(plan: ContractionPlan, lattice: Lattice, depth, *,
                   open_sites: Sequence[int] = (),
-                  itemsize: int = 8) -> CostEstimate:
+                  itemsize: int = 8,
+                  two_qubit_gate: str = "cz") -> CostEstimate:
     """Price ``plan`` over its full path space from the lattice and depth
     alone, without building a network.
 
-    Site shapes come from the lattice's bond activations (plus a dimension-2
-    output index at each of ``open_sites``) and go through the same shape
-    walk a :class:`PlanExecutor` runs on its network, so for a network of
-    this circuit, open sites and ``itemsize`` the two agree exactly:
-    ``total_flops`` is what the executor counts over every path, and
-    ``peak_bytes`` is its ``peak_bytes``.
+    Site shapes come from the lattice's bond activations, each gate on a
+    bond multiplying its dimension by ``two_qubit_gate``'s Schmidt rank,
+    plus a dimension-2 output index at each of ``open_sites``.  They go
+    through the same shape walk a :class:`PlanExecutor` runs on its
+    network, so for a network of this circuit, open sites and ``itemsize``
+    the two agree exactly: ``total_flops`` is what the executor counts over
+    every path, and ``peak_bytes`` is its ``peak_bytes``.
     """
     t = DepthSpec.parse(depth).t
-    bond_dims = {bond: 2 ** k for bond, k in edge_activations(lattice, t).items()
+    rank = SCHMIDT_RANK[two_qubit_gate]
+    bond_dims = {bond: rank ** k for bond, k in edge_activations(lattice, t).items()
                  if k > 0}
     shapes: dict[int, dict[str, int]] = {site: {} for site in range(lattice.n)}
     for (a, b), dim in bond_dims.items():
@@ -691,10 +712,20 @@ def _region_steps(lattice: Lattice, name: str, sites: Sequence[int],
 
 def two_region_plan(lattice: Lattice, region_a: set[int], region_b: set[int],
                     region_c: set[int], cut_bonds: Sequence[tuple[int, int]],
-                    cut_prefix: str = "w") -> ContractionPlan:
+                    cut_prefix: str = "w", *,
+                    c_early: bool = False) -> ContractionPlan:
     """Assemble the standard A x B (x C) plan shape used by every builtin:
-    cut-free region cores contract once, each loop folds in the sites the
-    newly-opened cut slices, and the batch-friendly C region joins last."""
+    cut-free region cores contract once and each loop folds in the sites
+    the newly-opened cut slices.
+
+    The batch-friendly region C joins in one of two places.  By default it
+    joins last, after the A x B join, inside the loops.  With ``c_early``
+    its cut-free core is contracted into B's before the first loop
+    (``contract B0 C -> B0C reuse=global``), its sliced sites join B's
+    chain, and the A x B join is the output: B then never carries both the
+    cut waist and its bonds to C, but with C's outputs open every path
+    carries them.
+    """
     cuts = tuple(CutSpec(f"{cut_prefix}{i}", (tuple(sorted(b)),))
                  for i, b in enumerate(cut_bonds))
     regions = {"A": set(region_a), "B": set(region_b), "C": set(region_c)}
@@ -706,25 +737,35 @@ def two_region_plan(lattice: Lattice, region_a: set[int], region_b: set[int],
             if touching:
                 join_at[rname].setdefault(max(touching), []).append(site)
                 rsites.discard(site)
+    if c_early:
+        for i, sites in join_at.pop("C").items():
+            join_at["B"].setdefault(i, []).extend(sites)
 
     program: list[tuple] = []
     current: dict[str, str] = {}
     for rname in ("A", "B", "C"):
         if regions[rname]:
-            core = f"{rname}0" if join_at[rname] else rname
+            core = f"{rname}0" if join_at.get(rname) else rname
             program.append(("contract",
                             _region_steps(lattice, core, regions[rname], "global")))
             current[rname] = core
+    if c_early and "C" in current:
+        inputs = tuple(current[r] for r in ("B", "C") if r in current)
+        current["B"] = "".join(inputs)
+        del current["C"]
+        if len(inputs) == 2:
+            program.append(("contract",
+                            ContractStep(inputs, current["B"], "global")))
 
     for i, cut in enumerate(cuts):
         program.append(("loop", cut.name))
-        for rname in ("A", "B", "C"):
-            add = join_at[rname].get(i)
+        for rname, joins in join_at.items():
+            add = joins.get(i)
             if not add:
                 continue
             inputs = ([current[rname]] if rname in current else []) + \
                 [f"t{s}" for s in add]
-            new = rname if i == max(join_at[rname]) else f"{rname}{i + 1}"
+            new = rname if i == max(joins) else f"{rname}{i + 1}"
             reuse = "outer" if i + 1 < len(cuts) else None
             program.append(("contract", ContractStep(tuple(inputs), new, reuse)))
             current[rname] = new
@@ -745,12 +786,14 @@ def two_region_plan(lattice: Lattice, region_a: set[int], region_b: set[int],
                            tuple(sorted(region_c)))
 
 
-def grid_plan(lattice: Lattice, n_cuts: Optional[int] = None) -> ContractionPlan:
+def grid_plan(lattice: Lattice, n_cuts: Optional[int] = None, *,
+              c_early: bool = False) -> ContractionPlan:
     """Balanced two-region plan for a full rectangle.
 
     The grid splits across its longer axis; a small bottom-right block
     becomes the batch region C, and ``n_cuts`` waist bonds (default: half
-    the waist, the ones farthest from C) become cuts.
+    the waist, the ones farthest from C) become cuts.  C joins last unless
+    ``c_early`` (see :func:`two_region_plan`).
     """
     rows, cols = lattice.bounding_shape
     if lattice.n != rows * cols:
@@ -782,7 +825,8 @@ def grid_plan(lattice: Lattice, n_cuts: Optional[int] = None) -> ContractionPlan
     region_a = {sid(r, c) for r in range(rows) for c in range(cols)
                 if in_a(r, c)} - region_c
     region_b = set(range(lattice.n)) - region_a - region_c
-    return two_region_plan(lattice, region_a, region_b, region_c, cut_bonds)
+    return two_region_plan(lattice, region_a, region_b, region_c, cut_bonds,
+                           c_early=c_early)
 
 
 _PLAN_FILES = {
@@ -809,42 +853,55 @@ def load_plan(source) -> ContractionPlan:
 def builtin_plan(lattice: Lattice, depth=None,
                  memory_budget: Optional[int] = None, *,
                  open_sites: Sequence[int] = (),
-                 itemsize: int = 8) -> ContractionPlan:
+                 itemsize: int = 8,
+                 two_qubit_gate: str = "cz") -> ContractionPlan:
     """The shipped plan for this lattice.
 
     Bristlecone lattices and the 7x7 grid use hand-tuned plan files; other
-    rectangles get a generated balanced split.  When ``memory_budget`` is
-    given (bytes), the plan's :func:`estimate_cost` peak at ``depth``, for
-    ``open_sites`` left open and ``itemsize``-byte entries, is checked
-    against it; generated grid plans respond by cutting more waist bonds,
-    file-based plans fail with a diagnostic instead of silently changing
-    shape.
+    rectangles get a generated balanced split.  Given ``depth``, each plan
+    is priced by :func:`estimate_cost` for ``open_sites`` left open,
+    ``itemsize``-byte entries and ``two_qubit_gate``'s bond dimension.  A
+    generated grid plan is built with C joining last and with C joining
+    early (see :func:`two_region_plan`) and keeps the one priced at fewer
+    total flops, C last on a tie; without a depth it keeps C last.  When
+    ``memory_budget`` is given (bytes), a plan must also fit it at its
+    priced peak: generated grid plans respond by cutting more waist bonds
+    until one placement fits, file-based plans fail with a diagnostic
+    instead of silently changing shape.
     """
-    def peak(plan: ContractionPlan) -> int:
+    def price(plan: ContractionPlan) -> CostEstimate:
         return estimate_cost(plan, lattice, depth, open_sites=open_sites,
-                             itemsize=itemsize).peak_bytes
+                             itemsize=itemsize, two_qubit_gate=two_qubit_gate)
 
     if memory_budget is not None and depth is None:
         raise ValueError("memory budgets need the circuit depth")
     if lattice.kind in _PLAN_FILES:
         plan = load_plan(lattice.kind)
-        if memory_budget is not None and peak(plan) > memory_budget:
+        if memory_budget is not None and price(plan).peak_bytes > memory_budget:
             raise MemoryBudgetError(
-                f"plan for {lattice.kind} needs ~{peak(plan)} bytes at "
-                f"depth {DepthSpec.parse(depth)}, budget is {memory_budget}"
+                f"plan for {lattice.kind} needs ~{price(plan).peak_bytes} bytes "
+                f"at depth {DepthSpec.parse(depth)}, budget is {memory_budget}"
             )
         return plan
 
     if not lattice.kind.startswith("grid:"):
         raise PlanError(f"no builtin plan for lattice {lattice.kind!r}")
     plan = grid_plan(lattice)
-    while memory_budget is not None and peak(plan) > memory_budget:
+    if depth is None:
+        return plan
+    while True:
+        plans = (plan, grid_plan(lattice, plan.num_cuts, c_early=True))
+        costs = [price(p) for p in plans]
+        fits = [(cost.total_flops, i) for i, cost in enumerate(costs)
+                if memory_budget is None or cost.peak_bytes <= memory_budget]
+        if fits:
+            return plans[min(fits)[1]]
         try:
-            plan = grid_plan(lattice, n_cuts=len(plan.cuts) + 1)
+            plan = grid_plan(lattice, plan.num_cuts + 1)
         except PlanError:
             raise MemoryBudgetError(
                 f"even cutting the whole waist, {lattice.kind} at depth "
-                f"{DepthSpec.parse(depth)} needs ~{peak(plan)} bytes, "
+                f"{DepthSpec.parse(depth)} needs ~"
+                f"{min(cost.peak_bytes for cost in costs)} bytes, "
                 f"budget is {memory_budget}"
             ) from None
-    return plan

@@ -461,48 +461,62 @@ def contract(a: Tensor, b: Tensor, thread_count: int = 1) -> Tensor:
       labels, then b's.
 
     Only permuted copies are made, into per-thread scratch buffers, one
-    per operand side.
+    per operand side.  The layout depends on labels and shapes alone, so
+    each pair of operand shapes works it out once (:func:`_layout`).
     """
-    b_set = set(b.labels)
-    for l in a.labels:
-        if l in b_set and a.dim_of(l) != b.dim_of(l):
-            raise ValueError(f"dimension mismatch on {l!r}: {a.dim_of(l)} vs {b.dim_of(l)}")
-
-    big, small = (a, b) if a.size >= b.size else (b, a)
-    small_set = set(small.labels)
-    pos = [i for i, l in enumerate(big.labels) if l in small_set]
-    lo = pos[0] if pos else len(big.labels)
-    hi = lo + len(pos)
-    block = pos == list(range(lo, hi))
-    prefix: tuple[str, ...] = ()
-    if block and hi == len(big.labels):
-        left, right, shared = big, small, big.labels[lo:]
-    elif block and (lo == 0 or math.prod(big.dims[hi:]) >= 1 << BLOCK_MU):
-        left, right, shared, prefix = small, big, big.labels[lo:hi], big.labels[:lo]
-    else:
-        left, right = a, b
-        shared = tuple(l for l in a.labels if l in b_set)
-    shared_set = set(shared)
-    left_free = tuple(l for l in left.labels if l not in shared_set)
-    right_free = tuple(l for l in right.labels[len(prefix):] if l not in shared_set)
-
-    perm_l = tuple(left.labels.index(l) for l in left_free + shared)
-    perm_r = tuple(right.labels.index(l) for l in prefix + shared + right_free)
+    swap, plan_l, plan_r, m, p, labels, dims = _layout(
+        a.labels, a.array.shape, b.labels, b.array.shape)
+    left, right = (b, a) if swap else (a, b)
     ws_l, ws_r = _operand_scratch()
-    arr_l = permute_fast(left.array, planned(left.array.shape, perm_l),
-                         thread_count, ws_l)
-    arr_r = permute_fast(right.array, planned(right.array.shape, perm_r),
-                         thread_count, ws_r)
-
-    m = math.prod(arr_l.shape[:len(left_free)])
-    p = math.prod(arr_r.shape[:len(prefix)])
+    arr_l = permute_fast(left.array, plan_l, thread_count, ws_l)
+    arr_r = permute_fast(right.array, plan_r, thread_count, ws_r)
     ksz = arr_l.size // m
     # one GEMM per prefix entry; a lone matrix skips numpy's batching
     rhs = arr_r.reshape(p, ksz, -1) if p > 1 else arr_r.reshape(ksz, -1)
     out = arr_l.reshape(m, ksz) @ rhs
-    out_dims = (arr_r.shape[:len(prefix)] + arr_l.shape[:len(left_free)]
-                + arr_r.shape[len(prefix) + len(shared):])
-    return Tensor(prefix + left_free + right_free, out.reshape(out_dims))
+    return Tensor(labels, out.reshape(dims))
+
+
+@functools.lru_cache(maxsize=4096)
+def _layout(a_labels: tuple[str, ...], a_dims: tuple[int, ...],
+            b_labels: tuple[str, ...], b_dims: tuple[int, ...]) -> tuple:
+    """:func:`contract`'s layout for operands of these labels and shapes,
+    worked out once per pair of shapes: whether ``b`` is the left matrix,
+    both permutation plans, the left matrix's row count, the number of
+    stacked matrices, and the output's labels and shape."""
+    a_dim, b_dim = dict(zip(a_labels, a_dims)), dict(zip(b_labels, b_dims))
+    for l, d in a_dim.items():
+        if b_dim.get(l, d) != d:
+            raise ValueError(f"dimension mismatch on {l!r}: {d} vs {b_dim[l]}")
+
+    a_big = math.prod(a_dims) >= math.prod(b_dims)
+    (big, big_dims), small = ((a_labels, a_dims), b_dim) if a_big else \
+        ((b_labels, b_dims), a_dim)
+    pos = [i for i, l in enumerate(big) if l in small]
+    lo = pos[0] if pos else len(big)
+    hi = lo + len(pos)
+    block = pos == list(range(lo, hi))
+    prefix: tuple[str, ...] = ()
+    if block and hi == len(big):
+        swap, shared = not a_big, big[lo:]
+    elif block and (lo == 0 or math.prod(big_dims[hi:]) >= 1 << BLOCK_MU):
+        swap, shared, prefix = a_big, big[lo:hi], big[:lo]
+    else:
+        swap, shared = False, tuple(l for l in a_labels if l in b_dim)
+    (left, left_dims), (right, right_dims) = (
+        ((b_labels, b_dims), (a_labels, a_dims)) if swap else
+        ((a_labels, a_dims), (b_labels, b_dims)))
+    left_free = tuple(l for l in left if l not in shared)
+    right_free = tuple(l for l in right[len(prefix):] if l not in shared)
+
+    perm_l = tuple(left.index(l) for l in left_free + shared)
+    perm_r = tuple(right.index(l) for l in prefix + shared + right_free)
+    dim = {**a_dim, **b_dim}
+    return (swap, planned(left_dims, perm_l), planned(right_dims, perm_r),
+            math.prod(dim[l] for l in left_free),
+            math.prod(dim[l] for l in prefix),
+            prefix + left_free + right_free,
+            tuple(dim[l] for l in prefix + left_free + right_free))
 
 
 # ---------------------------------------------------------------------------

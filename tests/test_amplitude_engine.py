@@ -47,6 +47,21 @@ class TestAmplitude:
         want = oracle.exact_amplitude(circuit_4x4_t16, 0b0000111100001111, 99)
         assert abs(amp - want) < 1e-10
 
+    def test_default_plan_is_priced_for_the_circuit(self):
+        """The default plan is builtin_plan's choice at the circuit's depth,
+        the engine's precision and the circuit's two-qubit gate."""
+        lat = Lattice.named("grid:6x6")
+        eng = AmplitudeEngine(generate_rqc(lat, "1+16+1", seed=0))
+        assert eng.plan == grid_plan(lat, c_early=True)
+        lat = Lattice.named("grid:3x4")
+        for gate in ("cz", "iswap"):
+            circ = generate_rqc(lat, "1+16+1", seed=0, two_qubit_gate=gate)
+            for dtype in (np.complex64, np.complex128):
+                eng = AmplitudeEngine(circ, dtype=dtype)
+                assert eng.plan == contraction_plan.builtin_plan(
+                    lat, "1+16+1", itemsize=np.dtype(dtype).itemsize,
+                    two_qubit_gate=gate)
+
     def test_explicit_plan(self, circuit_4x4_t16, state_4x4_t16):
         plan = grid_plan(circuit_4x4_t16.lattice, n_cuts=2)
         eng = AmplitudeEngine(circuit_4x4_t16, plan, dtype=np.complex128)
@@ -183,6 +198,7 @@ class TestRecords:
         assert rec["in"] == "0" * 16
         assert rec["out"].endswith("11")
         assert np.isclose(rec["re"] + 1j * rec["im"], amp)
+        assert (rec["flops"], rec["peak_bytes"]) == (stats.flops, stats.peak_bytes)
 
     def test_batch_records_roundtrip(self, engine_4x4):
         batch = engine_4x4.amplitude_batch(0, 0, (12, 13, 14, 15), 8, seed=2)

@@ -145,6 +145,14 @@ class TestGeneratedCircuits:
         circ = generate_rqc(grid_2x2, "1+8+1", seed=0, two_qubit_gate="iswap")
         assert {g.name for g in circ.two_qubit_gates()} == {"iswap"}
 
+    def test_two_qubit_gate_prices_the_widest_bond(self, grid_2x2):
+        """A circuit names its two-qubit gate; of a mix, the one of highest
+        Schmidt rank, and a circuit without any prices as CZ."""
+        assert generate_rqc(grid_2x2, "1+8+1", seed=0).two_qubit_gate == "cz"
+        mixed = parse_circuit("4\n1 cz 0 1\n2 iswap 2 3\n3 cz 0 2\n")
+        assert mixed.two_qubit_gate == "iswap"
+        assert parse_circuit("4\n0 h 0\n").two_qubit_gate == "cz"
+
 
 class TestBondPatterns:
     def test_eight_patterns_cover_every_edge(self, grid_4x4):

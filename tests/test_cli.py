@@ -271,6 +271,55 @@ class TestMemoryBudget:
         assert json.loads(out.splitlines()[1])["paths"] == 8 ** 3
 
 
+class TestPlanChoice:
+    """The automatic plan is priced for the run that happens, and the
+    config echo and records report what ran."""
+
+    def test_closed_amplitude_joins_c_early(self, capsys):
+        code, out, err = run(
+            capsys, "amplitude", "--lattice", "grid:6x6", "--depth", "1+16+1",
+            "--out", "0" * 36,
+        )
+        assert code == 0, err
+        cfg, rec = (json.loads(line) for line in out.splitlines())
+        cfg = cfg["config"]
+        assert cfg["c_joins"] == "B0C"
+        assert (rec["flops"], rec["peak_bytes"]) == \
+            (cfg["plan_flops"], cfg["plan_peak_bytes"])
+        assert rec["flops"] < 10 ** 9
+
+    def test_open_c_on_shallow_grid_keeps_c_last(self, capsys):
+        code, out, err = run(
+            capsys, "amplitude", "--lattice", "grid:6x6", "--depth", "1+8+1",
+            "--s-ab", "0" * 36, "--n-c", "4",
+        )
+        assert code == 0, err
+        lines = [json.loads(line) for line in out.splitlines()]
+        cfg = lines[0]["config"]
+        assert cfg["c_joins"] == "result"
+        assert all((rec["flops"], rec["peak_bytes"]) ==
+                   (cfg["plan_flops"], cfg["plan_peak_bytes"])
+                   for rec in lines[1:])
+
+    def test_iswap_budget_is_priced_before_contracting(self, tmp_path, capsys,
+                                                        monkeypatch):
+        """An iSWAP circuit's bonds are priced at rank 4, so a budget its
+        default plan cannot meet is refused up front, not mid-run."""
+        path = tmp_path / "iswap.txt"
+        assert cli.main(["gen", "--lattice", "grid:4x4", "--depth", "1+16+1",
+                         "--two-qubit-gate", "iswap", "-o", str(path)]) == 0
+        capsys.readouterr()
+        calls = []
+        contract = contraction_plan.contract
+        monkeypatch.setattr(contraction_plan, "contract",
+                            lambda *a, **k: calls.append(1) or contract(*a, **k))
+        code, _, err = run(capsys, "amplitude", "--circuit", str(path),
+                           "--out", "0" * 16, "--memory-budget", "1M")
+        assert code == 2
+        assert "even cutting the whole waist" in err
+        assert not calls
+
+
 class TestExitCodes:
     def test_usage_error_is_1(self, capsys):
         assert run(capsys, "gen", "--lattice", "pentagon:9")[0] == 1

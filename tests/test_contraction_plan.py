@@ -11,11 +11,15 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rqcsim import contraction_plan, oracle, tensor_core
 from rqcsim.circuits import Lattice, generate_rqc
 from rqcsim.contraction_plan import (
     ContractionPlan,
+    ContractStep,
+    CostEstimate,
     CutSpec,
     MemoryBudgetError,
     PlanError,
@@ -173,6 +177,73 @@ class TestPathSum:
         assert full_dims[0] > 2
 
 
+    @settings(max_examples=20, deadline=None)
+    @given(rows=st.integers(2, 4), cols=st.integers(2, 5), t=st.integers(4, 16),
+           data=st.data(), c_early=st.booleans(), double=st.booleans())
+    def test_every_placement_sums_to_uncut_value(self, rows, cols, t, data,
+                                                 c_early, double):
+        """Either placement of C, at any cut count, sums its paths to the
+        uncut contraction and to the dense reference."""
+        lat = Lattice.rectangle(rows, cols)
+        n_cuts = data.draw(st.integers(0, min(rows, cols)), label="n_cuts")
+        out = data.draw(st.integers(0, 2 ** lat.n - 1), label="out")
+        circ = generate_rqc(lat, f"1+{t}+1", seed=t)
+        dtype = np.complex128 if double else np.complex64
+        net = contract_time(build_3d(circ, 0, out, dtype=dtype))
+        plan = grid_plan(lat, n_cuts, c_early=c_early)
+        ex = PlanExecutor(net, plan)
+        got = sum(ex.run(p).scalar() for p in enumerate_paths(ex.cut_dims))
+        want = oracle.exact_amplitude(circ, 0, out)
+        scale = (1e-10 if double else 1e-5) * max(abs(want), 2 ** (-lat.n / 2))
+        assert abs(got - contract_grid(net).scalar()) <= scale
+        assert abs(got - want) <= scale
+
+
+class TestPlacement:
+    """builtin_plan joins C where estimate_cost prices fewer flops."""
+
+    @pytest.mark.parametrize("kind,depth", [("grid:4x4", "1+16+1"),
+                                            ("grid:4x5", "1+24+1"),
+                                            ("grid:5x5", "1+24+1")])
+    def test_c_last_kept_where_c_touches_a(self, kind, depth):
+        lat = Lattice.named(kind)
+        default = format_plan(grid_plan(lat))
+        for itemsize in (8, 16):
+            for open_sites in ((), grid_plan(lat).batch_sites):
+                plan = builtin_plan(lat, depth, open_sites=open_sites,
+                                    itemsize=itemsize)
+                assert format_plan(plan) == default
+
+    def test_c_early_on_6x6_prices_a_tenth(self):
+        lat = Lattice.named("grid:6x6")
+        chosen = builtin_plan(lat, "1+16+1")
+        last = grid_plan(lat)
+        assert chosen == grid_plan(lat, c_early=True)
+        assert chosen.c_join_step() == "B0C" and last.c_join_step() == "result"
+        assert chosen.batch_sites == last.batch_sites
+        assert 10 * estimate_cost(chosen, lat, "1+16+1").total_flops <= \
+            estimate_cost(last, lat, "1+16+1").total_flops
+
+    def test_open_c_on_shallow_6x6_keeps_c_last(self):
+        lat = Lattice.named("grid:6x6")
+        region = grid_plan(lat).batch_sites
+        assert builtin_plan(lat, "1+8+1", open_sites=region) == grid_plan(lat)
+        assert builtin_plan(lat, "1+8+1").c_join_step() == "B0C"
+
+    def test_tie_keeps_c_last(self, grid_4x4, monkeypatch):
+        monkeypatch.setattr(contraction_plan, "estimate_cost",
+                            lambda *a, **k: CostEstimate(1, 1, 1))
+        assert builtin_plan(grid_4x4, "1+16+1") == grid_plan(grid_4x4)
+
+    def test_early_plan_joins_c_core_into_b_core_before_loops(self, grid_4x4):
+        plan = grid_plan(grid_4x4, n_cuts=4, c_early=True)
+        first_loop = plan.program.index(("loop", "w0"))
+        assert ("contract", ContractStep(("B0", "C"), "B0C", "global")) in \
+            plan.program[:first_loop]
+        assert plan.program[-1] == ("output", "AB")
+        assert parse_plan(format_plan(plan)) == plan
+
+
 class TestCostModel:
     def test_estimate_counts_executed_flops(self, grid_4x4):
         """The estimator's per-step multiply-add count (8 real ops per
@@ -205,6 +276,19 @@ class TestCostModel:
         single = estimate_cost(plan, grid_4x4, "1+16+1", itemsize=8)
         double = estimate_cost(plan, grid_4x4, "1+16+1", itemsize=16)
         assert double.peak_bytes == 2 * single.peak_bytes
+
+    def test_iswap_bonds_priced_at_their_rank(self, grid_4x4):
+        """iSWAP bonds have Schmidt rank 4, so the estimate for an iSWAP
+        circuit is what its executor counts and holds."""
+        circ = generate_rqc(grid_4x4, "1+16+1", seed=0, two_qubit_gate="iswap")
+        assert circ.two_qubit_gate == "iswap"
+        plan = builtin_plan(grid_4x4)
+        net = contract_time(build_3d(circ, 0, 0, dtype=np.complex64))
+        ex = fresh_run(net, plan)
+        est = estimate_cost(plan, grid_4x4, "1+16+1",
+                            two_qubit_gate=circ.two_qubit_gate)
+        assert est.paths == math.prod(ex.cut_dims) == 256
+        assert (est.total_flops, est.peak_bytes) == (ex.flops, ex.peak_bytes)
 
     def test_deeper_circuits_cost_more(self, grid_4x4):
         plan = grid_plan(grid_4x4, n_cuts=2)
@@ -243,6 +327,24 @@ def fresh_run(net, plan) -> PlanExecutor:
     for p in enumerate_paths(ex.cut_dims):
         ex.run(p)
     return ex
+
+
+def counted_run(net, plan, monkeypatch) -> tuple[PlanExecutor, int]:
+    """A fresh run, which also warms the permutation caches, and the
+    8 * m * k * n of every product it made, from the real operands."""
+    done = 0
+    contract = contraction_plan.contract
+
+    def counted(a, b, **kw):
+        nonlocal done
+        k = math.prod(a.dim_of(l) for l in set(a.labels) & set(b.labels))
+        done += 8 * a.size * b.size // k
+        return contract(a, b, **kw)
+
+    monkeypatch.setattr(contraction_plan, "contract", counted)
+    ex = fresh_run(net, plan)
+    monkeypatch.setattr(contraction_plan, "contract", contract)
+    return ex, done
 
 
 def traced_peak(net, plan, monkeypatch) -> int:
@@ -301,19 +403,8 @@ class TestHonestBound:
         net = net.fix_outputs({q: 0 for q in range(lat.n) if q not in open_sites})
         est = estimate_cost(plan, lat, depth, open_sites=open_sites,
                             itemsize=np.dtype(dtype).itemsize)
-
-        done = []  # 8 * m * k * n of every product, from the real operands
-        contract = contraction_plan.contract
-
-        def counted(a, b, **kw):
-            k = math.prod(a.dim_of(l) for l in set(a.labels) & set(b.labels))
-            done.append(8 * a.size * b.size // k)
-            return contract(a, b, **kw)
-
-        monkeypatch.setattr(contraction_plan, "contract", counted)
-        ex = fresh_run(net, plan)  # also warms the permutation caches
-        monkeypatch.setattr(contraction_plan, "contract", contract)
-        assert ex.flops == est.total_flops == sum(done)
+        ex, done = counted_run(net, plan, monkeypatch)
+        assert ex.flops == est.total_flops == done
         assert ex.peak_bytes == est.peak_bytes
 
         if est.peak_bytes < 1 << 20:  # Python objects would dominate
@@ -323,6 +414,34 @@ class TestHonestBound:
             assert traced <= est.peak_bytes
             if traced >= 4 << 20:
                 assert est.peak_bytes <= 1.5 * traced
+
+    @pytest.mark.parametrize("kind", ["grid:4x6", "grid:5x6"])
+    @pytest.mark.parametrize("depth", ["1+8+1", "1+16+1"])
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    @pytest.mark.parametrize("batch", [False, True], ids=["closed", "batch"])
+    def test_early_c_estimate_bounds_measured_peak(self, kind, depth, dtype,
+                                                   batch, monkeypatch):
+        """With C joined early the walk still prices what the executor
+        counts and holds, and bounds what it allocates.  Unlike the C-last
+        cases above, the bound is not within 1.5x of the traced peak
+        everywhere: the walk counts the B0 core, built once before the
+        loops, both as its fold's product and as a cached output (1.6x on
+        grid:5x6 1+16+1)."""
+        lat = Lattice.named(kind)
+        plan = grid_plan(lat, c_early=True)
+        open_sites = plan.batch_sites if batch else ()
+        net = contract_time(build_3d(generate_rqc(lat, depth, seed=1), 0, None,
+                                     dtype=dtype))
+        net = net.fix_outputs({q: 0 for q in range(lat.n) if q not in open_sites})
+        est = estimate_cost(plan, lat, depth, open_sites=open_sites,
+                            itemsize=np.dtype(dtype).itemsize)
+        ex, done = counted_run(net, plan, monkeypatch)
+        assert ex.flops == est.total_flops == done
+        assert ex.peak_bytes == est.peak_bytes
+        if est.peak_bytes < 1 << 20:  # Python objects would dominate
+            assert array_peak(net, plan, monkeypatch) <= est.peak_bytes
+        else:
+            assert traced_peak(net, plan, monkeypatch) <= est.peak_bytes
 
     def test_over_budget_refused_before_contracting(self, circuit_4x4_t16,
                                                     monkeypatch):
