@@ -26,7 +26,7 @@ import numpy as np
 from .circuits import Circuit
 from .contraction_plan import (ContractionPlan, PlanExecutor, builtin_plan,
                                enumerate_paths)
-from .network_builder import Net2D, build_3d, contract_time, out_label
+from .network_builder import Net2D, as_bits, build_3d, contract_time, out_label
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,6 @@ class AmplitudeBatch:
 
     def out_bits(self, i: int) -> str:
         """Full output bit-string for entry i (qubit 0 leftmost)."""
-        n = len(self.in_bits)
         bits = list(self.s_ab)
         cbits = format(self.c_values[i], f"0{len(self.c_sites)}b")
         for q, b in zip(self.c_sites, cbits):
@@ -101,7 +100,7 @@ class AmplitudeEngine:
 
     def base_net(self, in_bits: Union[str, int] = 0) -> Net2D:
         """The all-outputs-open network for ``in_bits`` (cached)."""
-        key = _bits_str(in_bits, self.circuit.n)
+        key = as_bits(in_bits, self.circuit.n)
         net = self._nets.get(key)
         if net is None:
             net = contract_time(build_3d(self.circuit, in_bits=key,
@@ -117,7 +116,7 @@ class AmplitudeEngine:
                   fidelity: FidelitySpec = FidelitySpec()) -> tuple[complex, PathStats]:
         """One amplitude <out|U|in>, summed over the selected paths."""
         n = self.circuit.n
-        out = _bits_str(out_bits, n)
+        out = as_bits(out_bits, n)
         net = self.base_net(in_bits).fix_outputs(
             {q: int(b) for q, b in enumerate(out)})
         ex = self._executor(net)
@@ -145,7 +144,7 @@ class AmplitudeEngine:
             raise ValueError("duplicate sites in batch region")
         if not 1 <= n_c <= 2 ** len(c_sites):
             raise ValueError(f"n_c={n_c} not in [1, 2^{len(c_sites)}]")
-        s_ab = _bits_str(s_ab, n)
+        s_ab = as_bits(s_ab, n)
         open_set = set(c_sites)
 
         net = self.base_net(in_bits).fix_outputs(
@@ -167,7 +166,7 @@ class AmplitudeEngine:
         amps = acc.reshape(-1)[values]
         stats = PathStats(math.prod(ex.cut_dims), len(paths), ex.flops,
                           ex.peak_bytes)
-        return AmplitudeBatch(_bits_str(in_bits, n), s_ab, c_sites,
+        return AmplitudeBatch(as_bits(in_bits, n), s_ab, c_sites,
                               tuple(int(v) for v in values), amps,
                               fidelity, stats)
 
@@ -186,16 +185,6 @@ class AmplitudeEngine:
             arr = ex.run(p).transpose_to(order).array.reshape(-1)
             acc = arr.copy() if acc is None else acc + arr
         return acc
-
-
-def _bits_str(value: Union[str, int], n: int) -> str:
-    if isinstance(value, str):
-        if len(value) != n or set(value) - {"0", "1"}:
-            raise ValueError(f"need {n} bits, got {value!r}")
-        return value
-    if not 0 <= value < 2 ** n:
-        raise ValueError(f"bit value {value} out of range for {n} qubits")
-    return format(value, f"0{n}b")
 
 
 def mixed_state_samples(circuit: Circuit, f: float, count: int,

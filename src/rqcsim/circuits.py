@@ -11,7 +11,7 @@ and a final layer of Hadamards.  Depth is written ``1+t+1``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Optional, Sequence
 
@@ -28,6 +28,10 @@ SCHMIDT_RANK = {"cz": 2, "iswap": 4}
 RNG_NAME = "pcg64"
 
 BRISTLECONE_SIZES = (24, 30, 40, 48, 60, 64, 70, 72)
+
+#: Most sites a lattice, and so qubits a circuit, may have: far above every
+#: lattice shipped, and checked before any site list is built.
+MAX_SITES = 1024
 
 
 class CircuitFormatError(ValueError):
@@ -104,9 +108,6 @@ class Lattice:
     def coords(self, site: int) -> tuple[int, int]:
         return self.sites[site]
 
-    def has_site(self, rc: tuple[int, int]) -> bool:
-        return rc in self._index
-
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Nearest-neighbor pairs as (low id, high id), sorted."""
         return self._edges
@@ -123,6 +124,9 @@ class Lattice:
     def rectangle(rows: int, cols: int) -> "Lattice":
         if rows < 1 or cols < 1 or rows * cols < 2:
             raise ValueError("rectangular lattice needs at least 1x2 sites")
+        if rows * cols > MAX_SITES:
+            raise ValueError(f"grid:{rows}x{cols} has {rows * cols} sites, "
+                             f"more than the {MAX_SITES} supported")
         sites = tuple((r, c) for r in range(rows) for c in range(cols))
         return Lattice(kind=f"grid:{rows}x{cols}", sites=sites)
 
@@ -435,8 +439,9 @@ def parse_circuit(text: str, lattice: Optional[Lattice] = None) -> Circuit:
         n = int(lines[0].strip())
     except ValueError:
         raise CircuitFormatError("first line must be the qubit count", 1) from None
-    if n < 2:
-        raise CircuitFormatError(f"qubit count must be at least 2, got {n}", 1)
+    if not 2 <= n <= MAX_SITES:
+        raise CircuitFormatError(
+            f"qubit count must be at least 2 and at most {MAX_SITES}, got {n}", 1)
 
     meta: dict[str, str] = {}
     raw_gates: list[tuple[int, int, str, tuple[int, ...]]] = []

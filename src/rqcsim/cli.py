@@ -35,6 +35,7 @@ from .circuits import (CircuitFormatError, DepthSpec, Lattice, generate_rqc,
                        parse_circuit, write_circuit)
 from .contraction_plan import (MemoryBudgetError, PlanError, builtin_plan,
                                estimate_cost, load_plan)
+from .network_builder import as_bits
 from .partition_cost import best_partition, complexity_table, table_csv
 from .sampler import SamplerConfig, required_batches, sample_circuit, write_samples
 from .tensor_core import benchmark_csv, benchmark_permute
@@ -274,10 +275,8 @@ def _make_engine(args, circuit, batch: bool = False):
             c_sites = plan.batch_sites
     if batch and not c_sites:
         raise UsageError("plan has no batch region; give --c-sites")
-    threads = _threads_arg(args)
-    if threads < 1:
-        raise UsageError("--threads must be >= 1")
-    engine = AmplitudeEngine(circuit, plan, dtype=dtype, thread_count=threads,
+    engine = AmplitudeEngine(circuit, plan, dtype=dtype,
+                             thread_count=_threads_arg(args),
                              memory_budget=budget)
     cost = estimate_cost(plan, circuit.lattice, circuit.depth, open_sites=c_sites,
                          itemsize=dtype.itemsize,
@@ -289,7 +288,17 @@ def _make_engine(args, circuit, batch: bool = False):
 
 
 def _threads_arg(args) -> int:
-    return args.threads if args.threads else _default_threads()
+    if args.threads is not None and args.threads < 1:
+        raise UsageError("--threads must be >= 1")
+    return _default_threads() if args.threads is None else args.threads
+
+
+def _n_c_arg(args, c_sites) -> int:
+    """--n-c, default min(32, 2^|C|); at most the 2^|C| completions."""
+    top = 2 ** len(c_sites)
+    if args.n_c is not None and not 1 <= args.n_c <= top:
+        raise UsageError(f"--n-c must be in 1..{top}, got {args.n_c}")
+    return min(32, top) if args.n_c is None else args.n_c
 
 
 def _fidelity(args) -> FidelitySpec:
@@ -299,13 +308,11 @@ def _fidelity(args) -> FidelitySpec:
         raise UsageError(str(e))
 
 
-def _bits_arg(value: Optional[str], n: int, default: str = "0") -> str:
-    if value is None:
-        return default * n
-    s = value.strip()
-    if len(s) != n or set(s) - {"0", "1"}:
-        raise UsageError(f"expected {n} binary digits, got {value!r}")
-    return s
+def _bits_arg(value: Optional[str], n: int) -> str:
+    try:
+        return as_bits("0" * n if value is None else value, n)
+    except ValueError as e:
+        raise UsageError(str(e))
 
 
 def _c_sites_arg(args, circuit) -> Optional[tuple[int, ...]]:
@@ -316,6 +323,8 @@ def _c_sites_arg(args, circuit) -> Optional[tuple[int, ...]]:
     sites = tuple(sorted(_parse_int_list(args.c_sites)))
     if any(not 0 <= s < circuit.n for s in sites):
         raise UsageError(f"--c-sites outside 0..{circuit.n - 1}")
+    if len(set(sites)) != len(sites):
+        raise UsageError(f"--c-sites lists a site twice: {args.c_sites!r}")
     return sites
 
 
@@ -375,7 +384,7 @@ def _cmd_amplitude(args) -> int:
             amp, stats = engine.amplitude(in_bits, out, fidelity=fid)
             records = [amplitude_record(in_bits, out, amp, fid, stats)]
         else:
-            n_c = args.n_c or min(32, 2 ** len(c_sites))
+            n_c = _n_c_arg(args, c_sites)
             s_ab = _bits_arg(args.s_ab, circuit.n)
             batch = engine.amplitude_batch(in_bits, s_ab, c_sites, n_c,
                                            seed=args.seed, fidelity=fid)
@@ -390,7 +399,7 @@ def _cmd_sample(args) -> int:
     circuit = _load_circuit(args)
     engine, c_sites, plan_echo = _make_engine(args, circuit, batch=True)
     in_bits = _bits_arg(args.in_bits, circuit.n)
-    n_c = args.n_c or min(32, 2 ** len(c_sites))
+    n_c = _n_c_arg(args, c_sites)
     try:
         config = SamplerConfig(n_c=n_c, target_samples=args.target, m=args.m,
                                seed=args.seed, fidelity=_fidelity(args))
@@ -463,6 +472,8 @@ def _cmd_analyze_pt(args) -> int:
 
 
 def _cmd_analyze_pearson(args) -> int:
+    if min(args.n_c, args.batches) < 1:
+        raise UsageError("--n-c and --batches must be >= 1")
     circuit = _load_circuit(args)
     engine, c_sites, plan_echo = _make_engine(args, circuit, batch=True)
     n_c = min(args.n_c, 2 ** len(c_sites))

@@ -56,8 +56,9 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .circuits import SCHMIDT_RANK, DepthSpec, Lattice, edge_activations
-from .network_builder import Net2D, edge_label, out_label
-from .tensor_core import Tensor, contract, scratch_copies, trim_scratch
+from .network_builder import Net2D, edge_label, out_label, site_label_order
+from .tensor_core import (Tensor, contract, route, trim_scratch,
+                          workspace_slots)
 
 
 class PlanError(ValueError):
@@ -159,9 +160,6 @@ class ContractionPlan:
 
     def analyze(self, lattice: Lattice) -> "PlanAnalysis":
         return _analyze(self, lattice)
-
-    def format(self) -> str:
-        return format_plan(self)
 
 
 @dataclass
@@ -455,8 +453,7 @@ class PlanExecutor:
         self.analysis, cost = _priced(
             plan, net.circuit.lattice,
             tuple((s, tuple(zip(t.labels, t.dims))) for s, t in net.tensors.items()),
-            self.cut_dims, max(t.array.itemsize for t in net.tensors.values()),
-            scratch_copies())
+            self.cut_dims, max(t.array.itemsize for t in net.tensors.values()))
         for cut in plan.cuts:
             if cut.values is not None:
                 top = math.prod(net.bond_dim.get(b, 1) for b in cut.bonds)
@@ -560,9 +557,10 @@ class CostEstimate:
 
 def _walk(plan: ContractionPlan, analysis: PlanAnalysis,
           shapes: dict[int, dict[str, int]], cut_dims: Sequence[int],
-          itemsize: int, copies: int) -> CostEstimate:
-    """Fold the plan's shapes (site -> label -> dim) the way the executor
-    folds its tensors, and price every step and the live set.
+          itemsize: int) -> CostEstimate:
+    """Fold the plan's shapes (site -> label -> dim, in the site tensor's
+    index order) through :func:`route`, the way the executor folds its
+    tensors, and price every step and the live set.
 
     Flops follow the 8-real-ops-per-complex-multiply-add convention for
     each pairwise matrix product.  Evaluation counts model the step cache
@@ -572,10 +570,11 @@ def _walk(plan: ContractionPlan, analysis: PlanAnalysis,
     recomputing step's stale value included), every cached site slice,
     the arrays one fold or slicing makes fresh (the accumulator this step
     built so far plus the new product or slices), and ``contract``'s
-    operand scratch, whose left and right sides each hold up to ``copies``
-    buffers no larger than the largest fold accumulator and operand.
+    operand scratch: per side and workspace slot, the largest operand the
+    route copies there.
     """
-    cached = slices = transient = left = right = 0
+    cached = slices = transient = 0
+    scratch = ([0, 0], [0, 0])  # side (left, right) -> slot -> entries
     steps: list[StepCost] = []
     folded: dict[str, dict[str, int]] = {}
     for step in plan.steps():
@@ -600,34 +599,36 @@ def _walk(plan: ContractionPlan, analysis: PlanAnalysis,
             if acc is None:
                 acc = operand
                 continue
-            shared = acc.keys() & operand.keys()
-            a_size, b_size = math.prod(acc.values()), math.prod(operand.values())
-            k_dim = math.prod(acc[l] for l in shared)
-            flops += 8 * a_size * b_size // k_dim  # 8 * m * k * n
-            left, right = max(left, a_size), max(right, b_size)
-            out = a_size // k_dim * (b_size // k_dim)
+            r = route(tuple(acc), tuple(acc.values()),
+                      tuple(operand), tuple(operand.values()))
+            sides = (operand, acc) if r.swap else (acc, operand)
+            l_size, r_size = (math.prod(side.values()) for side in sides)
+            for held, perm, size in zip(scratch, (r.plan_l, r.plan_r),
+                                        (l_size, r_size)):
+                for slot in range(workspace_slots(perm)):
+                    held[slot] = max(held[slot], size)
+            flops += 8 * r.rows * r_size  # 8 * m * k * n
+            out = math.prod(r.dims)
             transient = max(transient, fresh + out)
             fresh = out
-            acc = {**acc, **operand}
-            for l in shared:
-                del acc[l]
+            acc = dict(zip(r.labels, r.dims))
         folded[step.name] = acc
         cached += math.prod(acc.values())
         deps = analysis.step_deps[step.name]
         evals = math.prod(cut_dims[:max(deps) + 1]) if deps else 1
         steps.append(StepCost(step.name, flops, evals))
-    scratch = (copies * left * itemsize, copies * right * itemsize)
+    left, right = (sum(held) * itemsize for held in scratch)
     return CostEstimate(math.prod(cut_dims),
                         sum(sc.flops * sc.evaluations for sc in steps),
-                        (cached + slices + transient) * itemsize + sum(scratch),
-                        tuple(steps), scratch)
+                        (cached + slices + transient) * itemsize + left + right,
+                        tuple(steps), (left, right))
 
 
 @functools.lru_cache(maxsize=32)
 def _priced(plan: ContractionPlan, lattice: Lattice,
             shapes: tuple[tuple[int, tuple[tuple[str, int], ...]], ...],
-            cut_dims: tuple[int, ...], itemsize: int,
-            copies: int) -> tuple[PlanAnalysis, CostEstimate]:
+            cut_dims: tuple[int, ...],
+            itemsize: int) -> tuple[PlanAnalysis, CostEstimate]:
     """Validate ``plan`` against a network's lattice and site shapes
     (site, ((label, dim), ...)) and price it.
 
@@ -644,7 +645,7 @@ def _priced(plan: ContractionPlan, lattice: Lattice,
     if extra:
         raise PlanError(f"plan references absent site tensors {sorted(extra)}")
     return analysis, _walk(plan, analysis, {s: dict(ls) for s, ls in shapes},
-                           cut_dims, itemsize, copies)
+                           cut_dims, itemsize)
 
 
 def estimate_cost(plan: ContractionPlan, lattice: Lattice, depth, *,
@@ -656,11 +657,12 @@ def estimate_cost(plan: ContractionPlan, lattice: Lattice, depth, *,
 
     Site shapes come from the lattice's bond activations, each gate on a
     bond multiplying its dimension by ``two_qubit_gate``'s Schmidt rank,
-    plus a dimension-2 output index at each of ``open_sites``.  They go
-    through the same shape walk a :class:`PlanExecutor` runs on its
-    network, so for a network of this circuit, open sites and ``itemsize``
-    the two agree exactly: ``total_flops`` is what the executor counts over
-    every path, and ``peak_bytes`` is its ``peak_bytes``.
+    plus a dimension-2 output index at each of ``open_sites``, in the
+    index order ``contract_time`` gives a site tensor.  They go through the
+    same shape walk a :class:`PlanExecutor` runs on its network, so for a
+    network of this circuit, open sites and ``itemsize`` the two agree
+    exactly: ``total_flops`` is what the executor counts over every path,
+    and ``peak_bytes`` is its ``peak_bytes``.
     """
     t = DepthSpec.parse(depth).t
     rank = SCHMIDT_RANK[two_qubit_gate]
@@ -671,8 +673,9 @@ def estimate_cost(plan: ContractionPlan, lattice: Lattice, depth, *,
         shapes[a][edge_label(a, b)] = shapes[b][edge_label(a, b)] = dim
     for site in open_sites:
         shapes[site][out_label(site)] = 2
+    shapes = {s: {l: d[l] for l in site_label_order(d)} for s, d in shapes.items()}
     return _walk(plan, plan.analyze(lattice), shapes, plan.cut_dims(bond_dims),
-                 itemsize, scratch_copies())
+                 itemsize)
 
 
 # ---------------------------------------------------------------------------
@@ -702,12 +705,6 @@ def _region_order(lattice: Lattice, sites: Sequence[int]) -> list[int]:
         cluster.add(best)
         remaining.discard(best)
     return order
-
-
-def _region_steps(lattice: Lattice, name: str, sites: Sequence[int],
-                  reuse: Optional[str]) -> ContractStep:
-    order = _region_order(lattice, sites)
-    return ContractStep(tuple(f"t{s}" for s in order), name, reuse)
 
 
 def two_region_plan(lattice: Lattice, region_a: set[int], region_b: set[int],
@@ -746,8 +743,9 @@ def two_region_plan(lattice: Lattice, region_a: set[int], region_b: set[int],
     for rname in ("A", "B", "C"):
         if regions[rname]:
             core = f"{rname}0" if join_at.get(rname) else rname
-            program.append(("contract",
-                            _region_steps(lattice, core, regions[rname], "global")))
+            order = _region_order(lattice, regions[rname])
+            program.append(("contract", ContractStep(
+                tuple(f"t{s}" for s in order), core, "global")))
             current[rname] = core
     if c_early and "C" in current:
         inputs = tuple(current[r] for r in ("B", "C") if r in current)

@@ -24,7 +24,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .circuits import Circuit, Lattice
+from .circuits import Circuit
 from .tensor_core import Tensor, contract
 
 # Gate matrices, U[out, in].  (The reference simulator keeps its own copies;
@@ -94,13 +94,25 @@ def out_label(q: int) -> str:
     return f"out{q}"
 
 
-def _as_bits(value, n: int) -> str:
+def as_bits(value, n: int) -> str:
+    """n chars of 0/1, qubit 0 first, from such a string or an integer in
+    [0, 2^n) whose most significant bit is qubit 0."""
     if isinstance(value, str):
         s = value.strip()
         if len(s) != n or set(s) - {"0", "1"}:
             raise ValueError(f"bit-string must be {n} chars of 0/1, got {value!r}")
         return s
-    return format(int(value), f"0{n}b")
+    value = int(value)
+    if not 0 <= value < 1 << n:
+        raise ValueError(f"bit value {value} out of range for {n} qubits")
+    return format(value, f"0{n}b")
+
+
+def site_label_order(labels: Iterable[str]) -> tuple[str, ...]:
+    """A site tensor's index order: merged edges by label, then outputs by
+    qubit."""
+    return tuple(sorted(labels, key=lambda l: (1, int(l[3:]))
+                        if l.startswith("out") else (0, l)))
 
 
 @dataclass
@@ -137,15 +149,11 @@ class Net2D:
         """New network with the given open outputs sliced to fixed bits."""
         tensors = dict(self.tensors)
         for q, bit in bits.items():
-            owner = None
-            lbl = out_label(q)
-            for site, t in tensors.items():
-                if lbl in t.labels:
-                    owner = site
-                    break
-            if owner is None:
-                raise KeyError(f"site {q} has no open output")
-            tensors[owner] = tensors[owner].fix(lbl, int(bit))
+            try:
+                owner = self.owner_of(out_label(q))
+            except KeyError:
+                raise KeyError(f"site {q} has no open output") from None
+            tensors[owner] = tensors[owner].fix(out_label(q), int(bit))
         remaining = tuple(q for q in self.open_sites if q not in bits)
         return Net2D(self.circuit, tensors, self.bond_dim, self.in_bits,
                      self.out_bits, remaining)
@@ -161,12 +169,12 @@ def build_3d(circuit: Circuit, in_bits=0, out_bits=None,
     """
     n = circuit.n
     t = circuit.depth.t
-    in_s = _as_bits(in_bits, n)
+    in_s = as_bits(in_bits, n)
     if out_bits is None:
         opens = tuple(range(n))
         out_s = None
     else:
-        out_s = _as_bits(out_bits, n)
+        out_s = as_bits(out_bits, n)
         opens = tuple(sorted(set(int(q) for q in open_sites)))
 
     nw = max(1, -(-t // WINDOW))
@@ -248,12 +256,8 @@ def contract_time(net: Net3D, fold_corners: bool = True) -> Net2D:
             tensors[site] = _merge_labels(tensors[site], merged, members)
         bond_dim[(a, b)] = tensors[a].dim_of(merged)
 
-    # canonical index order: merged edges by neighbor pair, then open outputs
     for site, t in tensors.items():
-        edges = sorted(l for l in t.labels if l.startswith("e"))
-        outs = sorted((l for l in t.labels if l.startswith("out")),
-                      key=lambda l: int(l[3:]))
-        tensors[site] = t.transpose_to(tuple(edges + outs))
+        tensors[site] = t.transpose_to(site_label_order(t.labels))
 
     return Net2D(circuit, tensors, bond_dim, net.in_bits, net.out_bits,
                  net.open_sites)
@@ -265,31 +269,14 @@ def _merge_labels(t: Tensor, new_label: str, members: Sequence[str]) -> Tensor:
     The merged index sits where the first member currently appears; its
     most significant factor is members[0].
     """
-    member_set = set(members)
-    if not member_set <= set(t.labels):
+    if not set(members) <= set(t.labels):
         raise ValueError(f"{members} not all present in {t.labels}")
-    flat: list[str] = []          # transpose target, members made adjacent
-    out_labels: list[str] = []    # labels after the reshape
-    group_sizes: list[int] = []   # axes merged per output label
-    placed = False
-    for l in t.labels:
-        if l in member_set:
-            if not placed:
-                flat.extend(members)
-                out_labels.append(new_label)
-                group_sizes.append(len(members))
-                placed = True
-        else:
-            flat.append(l)
-            out_labels.append(l)
-            group_sizes.append(1)
-    tt = t.transpose_to(tuple(flat))
-    shape = []
-    i = 0
-    for g in group_sizes:
-        shape.append(math.prod(tt.array.shape[i:i + g]))
-        i += g
-    return Tensor(tuple(out_labels), tt.array.reshape(shape))
+    at = min(t.labels.index(l) for l in members)
+    rest = tuple(l for l in t.labels if l not in members)
+    tt = t.transpose_to(rest[:at] + tuple(members) + rest[at:])
+    end = at + len(members)
+    shape = tt.dims[:at] + (math.prod(tt.dims[at:end]),) + tt.dims[end:]
+    return Tensor(rest[:at] + (new_label,) + rest[at:], tt.array.reshape(shape))
 
 
 def contract_grid(net: Net2D, order: Optional[Sequence[int]] = None,

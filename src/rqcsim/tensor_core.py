@@ -31,7 +31,8 @@ beat one copy, so that layout, like scattered shared labels, is permuted
 into a single matrix product.  The output label order follows the layout:
 labels before the block, the other operand's free labels, then the rest.
 Permuted operand copies land in reused scratch buffers instead of fresh
-memory.
+memory.  :func:`route` states the layout and :func:`workspace_slots` the
+buffers a copy fills; plan pricing reads both.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ import functools
 import math
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -301,23 +302,34 @@ class Workspace:
             held -= buf.nbytes
 
 
+def workspace_slots(plan: PermutePlan) -> int:
+    """Operand-sized workspace buffers :func:`permute_fast` fills for
+    ``plan``: none without data movement, one for a strided transpose, a
+    single move or any plan on the numpy backend, two for moves that
+    ping-pong on numba."""
+    if not plan.moves:
+        return int(plan.fallback is not None)
+    return 1 if len(plan.moves) == 1 or _kernels.get_backend() == "numpy" else 2
+
+
 def permute_fast(array: np.ndarray, plan: PermutePlan, thread_count: int = 1,
                  workspace: Optional[Workspace] = None) -> np.ndarray:
     """Apply a move plan; returns a row-major array with permuted indexes.
 
     With no data movement needed the input is returned as-is.  A plan
-    without a move decomposition, and on the numpy backend a plan of two
-    or more moves, runs as one strided transpose.  When a workspace is
-    supplied the result aliases one of its buffers and is only valid until
-    the next call that reuses it; otherwise it is a fresh array.
+    without a move decomposition, and one with more moves than it has
+    workspace slots (two or more on the numpy backend), runs as one
+    strided transpose.  When a workspace is supplied the result aliases
+    one of its buffers and is only valid until the next call that reuses
+    it; otherwise it is a fresh array.
     """
     a = np.ascontiguousarray(array).reshape(plan.dims)
-    if not plan.moves and plan.fallback is None:
+    slots = workspace_slots(plan)
+    if not slots:
         return a
 
     ws = workspace if workspace is not None else Workspace()
-    if plan.fallback is not None or (len(plan.moves) > 1
-                                     and _kernels.get_backend() == "numpy"):
+    if plan.fallback is not None or len(plan.moves) > slots:
         out = ws.take(a.size, a.dtype, 0).reshape(plan.out_dims)
         np.copyto(out, np.transpose(a, plan.perm))
         return out
@@ -429,20 +441,40 @@ def trim_scratch(max_bytes: tuple[int, int]) -> None:
         ws.trim(limit)
 
 
-def scratch_copies() -> int:
-    """Operand-sized scratch buffers ``contract`` may keep per operand
-    side: the move kernels ping-pong between two, the numpy route copies
-    into one.  The left side only ever receives a copy of ``a`` or of the
-    smaller operand, the right side one of ``b`` or of the smaller."""
-    return 1 if _kernels.get_backend() == "numpy" else 2
-
-
 def contract(a: Tensor, b: Tensor, thread_count: int = 1) -> Tensor:
-    """Contract two tensors over all shared labels.
+    """Contract two tensors over all shared labels, laid out as
+    :func:`route` says.  Only permuted copies are made, into per-thread
+    scratch buffers, one workspace per operand side."""
+    r = route(a.labels, a.array.shape, b.labels, b.array.shape)
+    left, right = (b, a) if r.swap else (a, b)
+    ws_l, ws_r = _operand_scratch()
+    arr_l = permute_fast(left.array, r.plan_l, thread_count, ws_l)
+    arr_r = permute_fast(right.array, r.plan_r, thread_count, ws_r)
+    ksz = arr_l.size // r.rows
+    # one GEMM per prefix entry; a lone matrix skips numpy's batching
+    rhs = arr_r.reshape(r.batch, ksz, -1) if r.batch > 1 else arr_r.reshape(ksz, -1)
+    out = arr_l.reshape(r.rows, ksz) @ rhs
+    return Tensor(r.labels, out.reshape(r.dims))
 
-    Where the shared labels sit in the larger operand decides the layout,
-    and with it the output label order (free labels always keep their
-    operand's order):
+
+class Route(NamedTuple):
+    swap: bool                 # b is the left matrix
+    plan_l: PermutePlan        # left operand to (free, shared)
+    plan_r: PermutePlan        # right operand to (before-block, shared, free)
+    rows: int                  # the left matrix's row count
+    batch: int                 # stacked right matrices
+    labels: tuple[str, ...]    # the output's labels
+    dims: tuple[int, ...]      # and shape
+
+
+@functools.lru_cache(maxsize=4096)
+def route(a_labels: tuple[str, ...], a_dims: tuple[int, ...],
+          b_labels: tuple[str, ...], b_dims: tuple[int, ...]) -> Route:
+    """:func:`contract`'s layout for operands of these labels and shapes,
+    worked out once per pair of shapes.
+
+    Where the shared labels sit in the larger operand decides it, and with
+    it the output label order (free labels keep their operand's order):
 
     * a contiguous suffix: the larger operand is the left matrix
       (free, shared) as-is and the smaller one is permuted to
@@ -452,38 +484,13 @@ def contract(a: Tensor, b: Tensor, thread_count: int = 1) -> Tensor:
       ``2**BLOCK_MU`` entries after it: the larger operand is read in place
       as a stack of (shared, after-block) matrices, one per entry of the
       labels before the block, and the smaller one is permuted to
-      (free, shared); one batched product gives the output labels as
-      before-block, the smaller operand's free labels, after-block.  Fewer
-      entries after the block would make the matrices too narrow to beat
-      one copy of the operand.
+      (free, shared); output: before-block, the smaller operand's free
+      labels, after-block.  Fewer entries after the block would make the
+      matrices too narrow to beat one copy of the operand.
     * anything else: ``a`` is permuted to (free, shared) and ``b`` to
       (shared, free), the shared labels in ``a``'s order; output: a's free
       labels, then b's.
-
-    Only permuted copies are made, into per-thread scratch buffers, one
-    per operand side.  The layout depends on labels and shapes alone, so
-    each pair of operand shapes works it out once (:func:`_layout`).
     """
-    swap, plan_l, plan_r, m, p, labels, dims = _layout(
-        a.labels, a.array.shape, b.labels, b.array.shape)
-    left, right = (b, a) if swap else (a, b)
-    ws_l, ws_r = _operand_scratch()
-    arr_l = permute_fast(left.array, plan_l, thread_count, ws_l)
-    arr_r = permute_fast(right.array, plan_r, thread_count, ws_r)
-    ksz = arr_l.size // m
-    # one GEMM per prefix entry; a lone matrix skips numpy's batching
-    rhs = arr_r.reshape(p, ksz, -1) if p > 1 else arr_r.reshape(ksz, -1)
-    out = arr_l.reshape(m, ksz) @ rhs
-    return Tensor(labels, out.reshape(dims))
-
-
-@functools.lru_cache(maxsize=4096)
-def _layout(a_labels: tuple[str, ...], a_dims: tuple[int, ...],
-            b_labels: tuple[str, ...], b_dims: tuple[int, ...]) -> tuple:
-    """:func:`contract`'s layout for operands of these labels and shapes,
-    worked out once per pair of shapes: whether ``b`` is the left matrix,
-    both permutation plans, the left matrix's row count, the number of
-    stacked matrices, and the output's labels and shape."""
     a_dim, b_dim = dict(zip(a_labels, a_dims)), dict(zip(b_labels, b_dims))
     for l, d in a_dim.items():
         if b_dim.get(l, d) != d:
@@ -512,11 +519,11 @@ def _layout(a_labels: tuple[str, ...], a_dims: tuple[int, ...],
     perm_l = tuple(left.index(l) for l in left_free + shared)
     perm_r = tuple(right.index(l) for l in prefix + shared + right_free)
     dim = {**a_dim, **b_dim}
-    return (swap, planned(left_dims, perm_l), planned(right_dims, perm_r),
-            math.prod(dim[l] for l in left_free),
-            math.prod(dim[l] for l in prefix),
-            prefix + left_free + right_free,
-            tuple(dim[l] for l in prefix + left_free + right_free))
+    return Route(swap, planned(left_dims, perm_l), planned(right_dims, perm_r),
+                 math.prod(dim[l] for l in left_free),
+                 math.prod(dim[l] for l in prefix),
+                 prefix + left_free + right_free,
+                 tuple(dim[l] for l in prefix + left_free + right_free))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from rqcsim.circuits import (
     CircuitFormatError,
     DepthSpec,
     Gate,
+    MAX_SITES,
     Lattice,
     cross_gate_count,
     cz_cut_count,
@@ -63,6 +64,18 @@ class TestLattice:
     def test_from_sites_rejects_disconnected_sites(self):
         with pytest.raises(ValueError):
             Lattice.from_sites("custom", [(0, 0), (5, 5)])
+
+
+    @pytest.mark.parametrize("rows,cols", [(1, MAX_SITES + 1), (100000, 100000)])
+    def test_rectangle_size_is_capped(self, rows, cols):
+        with pytest.raises(ValueError, match="supported"):
+            Lattice.rectangle(rows, cols)
+        with pytest.raises(ValueError, match="supported"):
+            Lattice.named(f"grid:{rows}x{cols}")
+
+    def test_cap_leaves_room_for_shipped_lattices(self):
+        assert Lattice.rectangle(32, 32).n == MAX_SITES
+        assert Lattice.named("bristlecone-72").n <= MAX_SITES
 
 
 class TestDepthSpec:
@@ -231,6 +244,13 @@ class TestSerialization:
     def test_first_line_is_qubit_count(self, circuit_3x4_t16):
         text = write_circuit(circuit_3x4_t16)
         assert text.splitlines()[0].strip() == str(circuit_3x4_t16.n)
+
+    def test_qubit_count_is_capped_before_any_lattice(self):
+        """A huge header count is refused on its first line, before any
+        lattice is inferred or built."""
+        for n in (MAX_SITES + 1, 1000000007):
+            with pytest.raises(CircuitFormatError, match="at most"):
+                parse_circuit(f"{n}\n0 h 0\n")
 
     def test_malformed_lines_raise(self):
         with pytest.raises(CircuitFormatError):

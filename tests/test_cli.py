@@ -368,6 +368,34 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("error:") and "at least 2" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("--n-c", "1000"),          # more completions than 2^|C|
+        ("--n-c", "0"),             # not replaced by the default
+        ("--c-sites", "1,1"),
+        ("--threads", "0"),
+    ], ids=["n-c-over", "n-c-zero", "c-sites-twice", "threads-zero"])
+    def test_bad_batch_arguments_are_1(self, capsys, argv):
+        code, out, err = run(capsys, "amplitude", "--lattice", "grid:3x3",
+                             "--depth", "1+8+1", *argv)
+        assert code == 1, err
+        assert err.startswith("error:") and not out
+
+    def test_zero_pearson_batches_is_1(self, capsys):
+        code, _, err = run(capsys, "analyze", "pearson", "--lattice",
+                           "grid:3x3", "--depth", "1+8+1", "--batches", "0")
+        assert code == 1
+        assert err.startswith("error:")
+
+    def test_oversized_lattice_is_1(self, tmp_path, capsys):
+        code, _, err = run(capsys, "gen", "--lattice", "grid:100000x100000",
+                           "--depth", "1+8+1")
+        assert code == 1 and err.startswith("error:")
+        path = tmp_path / "huge.txt"
+        path.write_text("1000000007\n0 h 0\n")
+        code, _, err = run(capsys, "amplitude", "--circuit", str(path),
+                           "--out", "0")
+        assert code == 1 and "at most" in err
+
     def test_help_is_0(self, capsys):
         assert cli.main(["--help"]) == 0
 

@@ -443,6 +443,23 @@ class TestHonestBound:
         else:
             assert traced_peak(net, plan, monkeypatch) <= est.peak_bytes
 
+    @pytest.mark.parametrize("kind,depth,n_cuts", [
+        ("grid:6x6", "1+16+1", 5),      # both sides read in place at the peak
+        ("bristlecone-24", "1+8+1", None),
+    ])
+    def test_priced_scratch_is_held(self, kind, depth, n_cuts, monkeypatch):
+        """The walk prices each side's operand scratch from the copies
+        ``contract`` makes, so a full run from empty scratch leaves the
+        workspaces holding exactly what was priced, no more for an operand
+        read in place."""
+        monkeypatch.setattr(tensor_core, "_SCRATCH", threading.local())
+        lat = Lattice.named(kind)
+        plan = builtin_plan(lat) if n_cuts is None else grid_plan(lat, n_cuts)
+        fresh_run(closed_net(generate_rqc(lat, depth, seed=1)), plan)
+        held = tuple(sum(buf.nbytes for buf in ws._bufs.values())
+                     for ws in tensor_core._operand_scratch())
+        assert held == estimate_cost(plan, lat, depth, itemsize=16).scratch_bytes
+
     def test_over_budget_refused_before_contracting(self, circuit_4x4_t16,
                                                     monkeypatch):
         calls = []

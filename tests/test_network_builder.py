@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rqcsim import oracle
+from rqcsim.amplitude_engine import AmplitudeEngine
 from rqcsim.circuits import Lattice, generate_rqc
 from rqcsim.network_builder import (
     build_3d,
@@ -75,6 +76,17 @@ class TestClosedContraction:
         state = oracle.evolve(circ, 9)
         assert np.isclose(closed_amplitude(circ, 9, 4), state[4], atol=1e-10)
 
+    @pytest.mark.parametrize("bits", [2**4, 2**4 + 1, -1, "0101 1", "012"])
+    def test_bad_bits_rejected(self, grid_2x2, bits):
+        """The network builder and the engine read bit-strings through one
+        checked parser: an integer outside [0, 2^n) is refused, not
+        truncated or formatted with a sign."""
+        circ = generate_rqc(grid_2x2, "1+8+1", seed=5)
+        with pytest.raises(ValueError, match="out of range|chars of 0/1"):
+            build_3d(circ, in_bits=bits, out_bits=0)
+        with pytest.raises(ValueError, match="out of range|chars of 0/1"):
+            AmplitudeEngine(circ).amplitude(0, bits)
+
     def test_single_precision_close(self, grid_2x2):
         circ = generate_rqc(grid_2x2, "1+8+1", seed=3)
         exact = oracle.exact_amplitude(circ, 0, 6)
@@ -118,7 +130,7 @@ class TestOpenOutputs:
     def test_fix_outputs_unknown_site(self, grid_2x2):
         circ = generate_rqc(grid_2x2, "1+8+1", seed=5)
         net = contract_time(build_3d(circ, out_bits=0, dtype=np.complex128))
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="site 1 has no open output"):
             net.fix_outputs({1: 0})
 
 

@@ -124,6 +124,21 @@ class TestPermuteEquivalence:
         assert out.tobytes() == permute_naive(arr, perm).tobytes()
         assert np.shares_memory(out, ws.take(arr.size, arr.dtype, 0))
 
+    @pytest.mark.parametrize("dims,perm,mu,nu", [
+        ([2] * 6, [0, 1, 2, 3, 4, 5], 2, 3),                     # identity
+        ([2] * 6, [0, 1, 4, 5, 2, 3], 2, 3),                     # fallback
+        ([2] * 8, [1, 0, 2, 3, 4, 5, 6, 7], 2, 4),               # one L move
+        ([2] * 12, [1, 0, 2, 3, 4, 5, 6, 7, 8, 9, 11, 10], 2, 4),  # L-R
+        ([2] * 7, [2, 5, 4, 0, 3, 6, 1], 2, 4),                  # L-R-L
+    ])
+    def test_workspace_slots_are_the_buffers_filled(self, dims, perm, mu, nu):
+        """``workspace_slots``, from which plan pricing takes contract's
+        scratch, counts exactly the buffers ``permute_fast`` fills."""
+        plan = plan_permutation(dims, perm, mu=mu, nu=nu)
+        ws = tensor_core.Workspace()
+        permute_fast(np.zeros(dims, np.complex64), plan, workspace=ws)
+        assert len(ws._bufs) == tensor_core.workspace_slots(plan)
+
     def test_naive_matches_numpy_transpose(self):
         rng = np.random.default_rng(5)
         dims, perm = random_case(rng)
