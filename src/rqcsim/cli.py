@@ -176,7 +176,8 @@ def build_parser() -> _Parser:
     p.add_argument("--batches", type=int, default=1000,
                    help="number of s_AB draws (default 1000)")
     p.add_argument("--c-sites", default="auto")
-    p.add_argument("--n-c", type=int, default=32)
+    p.add_argument("--n-c", type=int, default=None,
+                   help="completions per batch (default min(32, 2^|C|))")
     p.set_defaults(handler=_cmd_analyze_pearson)
 
     p = asub.add_parser("xeb", help="cross-entropy fidelity of a sample file")
@@ -472,11 +473,11 @@ def _cmd_analyze_pt(args) -> int:
 
 
 def _cmd_analyze_pearson(args) -> int:
-    if min(args.n_c, args.batches) < 1:
-        raise UsageError("--n-c and --batches must be >= 1")
+    if args.batches < 1:
+        raise UsageError("--batches must be >= 1")
     circuit = _load_circuit(args)
     engine, c_sites, plan_echo = _make_engine(args, circuit, batch=True)
-    n_c = min(args.n_c, 2 ** len(c_sites))
+    n_c = _n_c_arg(args, c_sites)
     rng = np.random.Generator(np.random.PCG64(args.seed))
     batches = []
     for _ in range(args.batches):

@@ -55,6 +55,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from . import _kernels
 from .circuits import SCHMIDT_RANK, DepthSpec, Lattice, edge_activations
 from .network_builder import Net2D, edge_label, out_label, site_label_order
 from .tensor_core import (Tensor, contract, route, trim_scratch,
@@ -160,6 +161,9 @@ class ContractionPlan:
 
     def analyze(self, lattice: Lattice) -> "PlanAnalysis":
         return _analyze(self, lattice)
+
+    def format(self) -> str:
+        return format_plan(self)
 
 
 @dataclass
@@ -453,7 +457,8 @@ class PlanExecutor:
         self.analysis, cost = _priced(
             plan, net.circuit.lattice,
             tuple((s, tuple(zip(t.labels, t.dims))) for s, t in net.tensors.items()),
-            self.cut_dims, max(t.array.itemsize for t in net.tensors.values()))
+            self.cut_dims, max(t.array.itemsize for t in net.tensors.values()),
+            _kernels.get_backend())
         for cut in plan.cuts:
             if cut.values is not None:
                 top = math.prod(net.bond_dim.get(b, 1) for b in cut.bonds)
@@ -627,14 +632,16 @@ def _walk(plan: ContractionPlan, analysis: PlanAnalysis,
 @functools.lru_cache(maxsize=32)
 def _priced(plan: ContractionPlan, lattice: Lattice,
             shapes: tuple[tuple[int, tuple[tuple[str, int], ...]], ...],
-            cut_dims: tuple[int, ...],
-            itemsize: int) -> tuple[PlanAnalysis, CostEstimate]:
+            cut_dims: tuple[int, ...], itemsize: int,
+            backend: str) -> tuple[PlanAnalysis, CostEstimate]:
     """Validate ``plan`` against a network's lattice and site shapes
     (site, ((label, dim), ...)) and price it.
 
     Every executor built on networks of one shape -- each batch of a
     sampling run, each amplitude of one circuit -- gets the same answer,
-    so it is memoized; callers must not mutate what it returns.
+    so it is memoized; callers must not mutate what it returns.  The
+    scratch price depends on the active kernel backend too
+    (:func:`workspace_slots`), so ``backend`` names it in the memo key.
     """
     analysis = plan.analyze(lattice)
     sites = {s for s, _ in shapes}
@@ -707,6 +714,12 @@ def _region_order(lattice: Lattice, sites: Sequence[int]) -> list[int]:
     return order
 
 
+def _region_steps(lattice: Lattice, name: str, sites: Sequence[int],
+                  reuse: Optional[str]) -> ContractStep:
+    order = _region_order(lattice, sites)
+    return ContractStep(tuple(f"t{s}" for s in order), name, reuse)
+
+
 def two_region_plan(lattice: Lattice, region_a: set[int], region_b: set[int],
                     region_c: set[int], cut_bonds: Sequence[tuple[int, int]],
                     cut_prefix: str = "w", *,
@@ -743,9 +756,8 @@ def two_region_plan(lattice: Lattice, region_a: set[int], region_b: set[int],
     for rname in ("A", "B", "C"):
         if regions[rname]:
             core = f"{rname}0" if join_at.get(rname) else rname
-            order = _region_order(lattice, regions[rname])
-            program.append(("contract", ContractStep(
-                tuple(f"t{s}" for s in order), core, "global")))
+            program.append(("contract",
+                            _region_steps(lattice, core, regions[rname], "global")))
             current[rname] = core
     if c_early and "C" in current:
         inputs = tuple(current[r] for r in ("B", "C") if r in current)

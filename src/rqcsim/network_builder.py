@@ -269,14 +269,31 @@ def _merge_labels(t: Tensor, new_label: str, members: Sequence[str]) -> Tensor:
     The merged index sits where the first member currently appears; its
     most significant factor is members[0].
     """
-    if not set(members) <= set(t.labels):
+    member_set = set(members)
+    if not member_set <= set(t.labels):
         raise ValueError(f"{members} not all present in {t.labels}")
-    at = min(t.labels.index(l) for l in members)
-    rest = tuple(l for l in t.labels if l not in members)
-    tt = t.transpose_to(rest[:at] + tuple(members) + rest[at:])
-    end = at + len(members)
-    shape = tt.dims[:at] + (math.prod(tt.dims[at:end]),) + tt.dims[end:]
-    return Tensor(rest[:at] + (new_label,) + rest[at:], tt.array.reshape(shape))
+    flat: list[str] = []          # transpose target, members made adjacent
+    out_labels: list[str] = []    # labels after the reshape
+    group_sizes: list[int] = []   # axes merged per output label
+    placed = False
+    for l in t.labels:
+        if l in member_set:
+            if not placed:
+                flat.extend(members)
+                out_labels.append(new_label)
+                group_sizes.append(len(members))
+                placed = True
+        else:
+            flat.append(l)
+            out_labels.append(l)
+            group_sizes.append(1)
+    tt = t.transpose_to(tuple(flat))
+    shape = []
+    i = 0
+    for g in group_sizes:
+        shape.append(math.prod(tt.array.shape[i:i + g]))
+        i += g
+    return Tensor(tuple(out_labels), tt.array.reshape(shape))
 
 
 def contract_grid(net: Net2D, order: Optional[Sequence[int]] = None,

@@ -317,11 +317,11 @@ def permute_fast(array: np.ndarray, plan: PermutePlan, thread_count: int = 1,
     """Apply a move plan; returns a row-major array with permuted indexes.
 
     With no data movement needed the input is returned as-is.  A plan
-    without a move decomposition, and one with more moves than it has
-    workspace slots (two or more on the numpy backend), runs as one
-    strided transpose.  When a workspace is supplied the result aliases
-    one of its buffers and is only valid until the next call that reuses
-    it; otherwise it is a fresh array.
+    without a move decomposition, and on the numpy backend a plan of two
+    or more moves, runs as one strided transpose; on numba any number of
+    moves ping-pongs between two buffers.  When a workspace is supplied
+    the result aliases one of its buffers and is only valid until the
+    next call that reuses it; otherwise it is a fresh array.
     """
     a = np.ascontiguousarray(array).reshape(plan.dims)
     slots = workspace_slots(plan)
@@ -329,7 +329,7 @@ def permute_fast(array: np.ndarray, plan: PermutePlan, thread_count: int = 1,
         return a
 
     ws = workspace if workspace is not None else Workspace()
-    if plan.fallback is not None or len(plan.moves) > slots:
+    if plan.fallback is not None or (slots == 1 and len(plan.moves) > 1):
         out = ws.take(a.size, a.dtype, 0).reshape(plan.out_dims)
         np.copyto(out, np.transpose(a, plan.perm))
         return out

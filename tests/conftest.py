@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from rqcsim import oracle
+from rqcsim import _kernels, oracle
 from rqcsim.circuits import Circuit, Lattice, generate_rqc
 
 
@@ -48,6 +48,21 @@ def state_4x4_t16(circuit_4x4_t16) -> np.ndarray:
 @pytest.fixture(scope="session")
 def state_3x4_t16(circuit_3x4_t16) -> np.ndarray:
     return oracle.evolve(circuit_3x4_t16)
+
+
+@pytest.fixture(params=["numpy", "numba"])
+def kernel_backend(request, monkeypatch) -> str:
+    """Each kernel backend in turn.  Without numba installed, the numba case
+    still takes numba's routes -- ``workspace_slots``' count and
+    ``permute_fast``'s ping-pong between two buffers -- by having
+    ``get_backend`` report it, while the move kernels run their NumPy
+    versions."""
+    if request.param == "numba" and not _kernels._HAVE_NUMBA:
+        monkeypatch.setattr(_kernels, "get_backend", lambda: "numba")
+    else:
+        prev = _kernels.set_backend(request.param)
+        request.addfinalizer(lambda: _kernels.set_backend(prev))
+    return request.param
 
 
 def pass_line(tag: str, detail: str) -> None:

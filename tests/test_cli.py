@@ -206,7 +206,7 @@ class TestAnalyze:
     def test_pearson_csv(self, circuit_file, capsys):
         code, out, _ = run(
             capsys, "analyze", "pearson", "--circuit", str(circuit_file),
-            "--batches", "50", "--n-c", "8", "--precision", "double",
+            "--batches", "50", "--n-c", "4", "--precision", "double",
         )
         assert code == 0
         rows = [l for l in out.splitlines() if not l.startswith("#")]
@@ -380,9 +380,13 @@ class TestExitCodes:
         assert code == 1, err
         assert err.startswith("error:") and not out
 
-    def test_zero_pearson_batches_is_1(self, capsys):
+    @pytest.mark.parametrize("argv", [("--batches", "0"), ("--n-c", "1000")],
+                             ids=["batches-zero", "n-c-over"])
+    def test_bad_pearson_counts_are_1(self, capsys, argv):
+        """pearson reads --n-c as amplitude and sample do: a count above
+        the 2^|C| completions is refused, not clamped."""
         code, _, err = run(capsys, "analyze", "pearson", "--lattice",
-                           "grid:3x3", "--depth", "1+8+1", "--batches", "0")
+                           "grid:3x3", "--depth", "1+8+1", *argv)
         assert code == 1
         assert err.startswith("error:")
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rqcsim import contraction_plan, oracle, tensor_core
+from rqcsim import _kernels, contraction_plan, oracle, tensor_core
 from rqcsim.circuits import Lattice, generate_rqc
 from rqcsim.contraction_plan import (
     ContractionPlan,
@@ -447,11 +447,12 @@ class TestHonestBound:
         ("grid:6x6", "1+16+1", 5),      # both sides read in place at the peak
         ("bristlecone-24", "1+8+1", None),
     ])
-    def test_priced_scratch_is_held(self, kind, depth, n_cuts, monkeypatch):
+    def test_priced_scratch_is_held(self, kind, depth, n_cuts, monkeypatch,
+                                    kernel_backend):
         """The walk prices each side's operand scratch from the copies
         ``contract`` makes, so a full run from empty scratch leaves the
         workspaces holding exactly what was priced, no more for an operand
-        read in place."""
+        read in place, on either backend."""
         monkeypatch.setattr(tensor_core, "_SCRATCH", threading.local())
         lat = Lattice.named(kind)
         plan = builtin_plan(lat) if n_cuts is None else grid_plan(lat, n_cuts)
@@ -459,6 +460,21 @@ class TestHonestBound:
         held = tuple(sum(buf.nbytes for buf in ws._bufs.values())
                      for ws in tensor_core._operand_scratch())
         assert held == estimate_cost(plan, lat, depth, itemsize=16).scratch_bytes
+
+    def test_price_is_keyed_by_backend(self, monkeypatch):
+        """Executors of one network shape share a memoized price, but not
+        across backends: on numba a multi-move copy ping-pongs through a
+        second buffer, so grid:5x5's plan prices more scratch there."""
+        lat = Lattice.named("grid:5x5")
+        plan = builtin_plan(lat)
+        net = closed_net(generate_rqc(lat, "1+16+1", seed=1))
+        peaks = {}
+        for backend in ("numpy", "numba"):
+            monkeypatch.setattr(_kernels, "get_backend", lambda b=backend: b)
+            peaks[backend] = PlanExecutor(net, plan).peak_bytes
+            assert peaks[backend] == estimate_cost(plan, lat, "1+16+1",
+                                                   itemsize=16).peak_bytes
+        assert peaks["numba"] > peaks["numpy"]
 
     def test_over_budget_refused_before_contracting(self, circuit_4x4_t16,
                                                     monkeypatch):

@@ -131,12 +131,16 @@ class TestPermuteEquivalence:
         ([2] * 12, [1, 0, 2, 3, 4, 5, 6, 7, 8, 9, 11, 10], 2, 4),  # L-R
         ([2] * 7, [2, 5, 4, 0, 3, 6, 1], 2, 4),                  # L-R-L
     ])
-    def test_workspace_slots_are_the_buffers_filled(self, dims, perm, mu, nu):
+    def test_workspace_slots_are_the_buffers_filled(self, dims, perm, mu, nu,
+                                                     kernel_backend):
         """``workspace_slots``, from which plan pricing takes contract's
-        scratch, counts exactly the buffers ``permute_fast`` fills."""
+        scratch, counts exactly the buffers ``permute_fast`` fills, and on
+        numba a plan of three moves still ping-pongs in two."""
         plan = plan_permutation(dims, perm, mu=mu, nu=nu)
         ws = tensor_core.Workspace()
-        permute_fast(np.zeros(dims, np.complex64), plan, workspace=ws)
+        arr = np.arange(math.prod(dims), dtype=np.complex64).reshape(dims)
+        out = permute_fast(arr, plan, workspace=ws)
+        assert out.tobytes() == permute_naive(arr, perm).tobytes()
         assert len(ws._bufs) == tensor_core.workspace_slots(plan)
 
     def test_naive_matches_numpy_transpose(self):
