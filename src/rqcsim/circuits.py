@@ -108,9 +108,6 @@ class Lattice:
     def coords(self, site: int) -> tuple[int, int]:
         return self.sites[site]
 
-    def has_site(self, rc: tuple[int, int]) -> bool:
-        return rc in self._index
-
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Nearest-neighbor pairs as (low id, high id), sorted."""
         return self._edges

@@ -56,9 +56,12 @@ def _default_threads() -> int:
     env = os.environ.get("RQCSIM_THREADS", "")
     if env.strip():
         try:
-            return max(1, int(env))
+            threads = int(env)
         except ValueError:
             raise UsageError(f"RQCSIM_THREADS must be an integer, got {env!r}")
+        if threads < 1:
+            raise UsageError(f"RQCSIM_THREADS must be >= 1, got {env!r}")
+        return threads
     return os.cpu_count() or 1
 
 

@@ -35,12 +35,12 @@ lattice and depth, :class:`PlanExecutor` on the shapes of its network, so
 a plan accepted under a memory budget also runs under it.
 
 ``builtin_plan`` returns hand-tuned plans (shipped as text files) for the
-Bristlecone lattices and the 7x7 grid, and generates a balanced two-region
-plan for any other rectangle.  A generated plan's batch region C joins
-in one of two places: last, after the A x B join, or early, its core
-contracted into B's before the loops.  Given the run's depth, open sites,
-precision and two-qubit gate, ``builtin_plan`` prices both and keeps the
-one with fewer flops (C last on a tie).
+Bristlecone lattices, and generates a balanced two-region plan for any
+rectangle.  A generated plan's batch region C joins in one of two places:
+last, after the A x B join, or early, its core contracted into B's before
+the loops.  Given the run's depth, open sites, precision and two-qubit
+gate, ``builtin_plan`` prices both and keeps the one with fewer flops (C
+last on a tie).
 """
 
 from __future__ import annotations
@@ -161,9 +161,6 @@ class ContractionPlan:
 
     def analyze(self, lattice: Lattice) -> "PlanAnalysis":
         return _analyze(self, lattice)
-
-    def format(self) -> str:
-        return format_plan(self)
 
 
 @dataclass
@@ -529,12 +526,10 @@ class PlanExecutor:
 
 
 def execute_plan(net: Net2D, plan: ContractionPlan, path: tuple[int, ...], *,
-                 thread_count: int = 1,
                  memory_budget: Optional[int] = None) -> Tensor:
     """One-shot convenience wrapper; reuse :class:`PlanExecutor` across
     paths when summing more than one."""
-    ex = PlanExecutor(net, plan, thread_count=thread_count,
-                      memory_budget=memory_budget)
+    ex = PlanExecutor(net, plan, memory_budget=memory_budget)
     return ex.run(path)
 
 
@@ -714,12 +709,6 @@ def _region_order(lattice: Lattice, sites: Sequence[int]) -> list[int]:
     return order
 
 
-def _region_steps(lattice: Lattice, name: str, sites: Sequence[int],
-                  reuse: Optional[str]) -> ContractStep:
-    order = _region_order(lattice, sites)
-    return ContractStep(tuple(f"t{s}" for s in order), name, reuse)
-
-
 def two_region_plan(lattice: Lattice, region_a: set[int], region_b: set[int],
                     region_c: set[int], cut_bonds: Sequence[tuple[int, int]],
                     cut_prefix: str = "w", *,
@@ -756,8 +745,9 @@ def two_region_plan(lattice: Lattice, region_a: set[int], region_b: set[int],
     for rname in ("A", "B", "C"):
         if regions[rname]:
             core = f"{rname}0" if join_at.get(rname) else rname
-            program.append(("contract",
-                            _region_steps(lattice, core, regions[rname], "global")))
+            order = _region_order(lattice, regions[rname])
+            program.append(("contract", ContractStep(
+                tuple(f"t{s}" for s in order), core, "global")))
             current[rname] = core
     if c_early and "C" in current:
         inputs = tuple(current[r] for r in ("B", "C") if r in current)
@@ -840,7 +830,6 @@ def grid_plan(lattice: Lattice, n_cuts: Optional[int] = None, *,
 
 
 _PLAN_FILES = {
-    "grid:7x7": "grid_7x7.txt",
     "bristlecone-24": "bristlecone_24.txt",
     "bristlecone-48": "bristlecone_48.txt",
     "bristlecone-60": "bristlecone_60.txt",
@@ -867,10 +856,10 @@ def builtin_plan(lattice: Lattice, depth=None,
                  two_qubit_gate: str = "cz") -> ContractionPlan:
     """The shipped plan for this lattice.
 
-    Bristlecone lattices and the 7x7 grid use hand-tuned plan files; other
-    rectangles get a generated balanced split.  Given ``depth``, each plan
-    is priced by :func:`estimate_cost` for ``open_sites`` left open,
-    ``itemsize``-byte entries and ``two_qubit_gate``'s bond dimension.  A
+    Bristlecone lattices use hand-tuned plan files; rectangles get a
+    generated balanced split.  Given ``depth``, each plan is priced by
+    :func:`estimate_cost` for ``open_sites`` left open, ``itemsize``-byte
+    entries and ``two_qubit_gate``'s bond dimension.  A
     generated grid plan is built with C joining last and with C joining
     early (see :func:`two_region_plan`) and keeps the one priced at fewer
     total flops, C last on a tie; without a depth it keeps C last.  When

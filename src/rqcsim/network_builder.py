@@ -13,7 +13,8 @@ open.
 merges the per-window bonds of every lattice edge into a single index
 whose dimension is the product of their Schmidt ranks, yielding one
 tensor per site -- a 2D network shaped like the lattice, ready for the
-contraction planner.
+contraction planner.  Each site tensor is laid out with one transpose,
+straight into :func:`site_label_order`, and one reshape.
 """
 
 from __future__ import annotations
@@ -227,6 +228,11 @@ def contract_time(net: Net3D, fold_corners: bool = True) -> Net2D:
     On the full 72-site bristlecone lattice the two degree-1 corner sites
     are folded into their only neighbors, reducing the grid to the 70-site
     frame the contraction plans use.
+
+    Each site's window bonds are grouped by edge, windows in numeric order
+    (the first window is the merged index's most significant digit), and
+    the groups ordered by :func:`site_label_order`; one transpose to that
+    flattened order and one reshape give the site tensor.
     """
     circuit = net.circuit
     lattice = circuit.lattice
@@ -243,61 +249,28 @@ def contract_time(net: Net3D, fold_corners: bool = True) -> Net2D:
             nbr = lattice.neighbors(corner)[0]
             tensors[nbr] = contract(tensors.pop(corner), tensors[nbr])
 
-    bond_dim: dict[tuple[int, int], int] = {}
-    for a, b in lattice.edges():
-        if a not in tensors or b not in tensors:
-            continue  # folded corner: bond already contracted away
-        members = [l for l in tensors[a].labels if l.endswith(f"_{a}_{b}")]
-        members.sort(key=lambda l: int(l[1:l.index("_")]))  # window order
-        if not members:
-            continue
-        merged = edge_label(a, b)
-        for site in (a, b):
-            tensors[site] = _merge_labels(tensors[site], merged, members)
-        bond_dim[(a, b)] = tensors[a].dim_of(merged)
-
     for site, t in tensors.items():
-        tensors[site] = t.transpose_to(site_label_order(t.labels))
+        groups: dict[str, list[tuple[int, str]]] = {}  # site label -> members
+        for label in t.labels:
+            if label.startswith("b"):
+                w, a, b = map(int, label[1:].split("_"))
+                groups.setdefault(edge_label(a, b), []).append((w, label))
+            else:
+                groups[label] = [(0, label)]
+        order = site_label_order(groups)
+        members = [[l for _, l in sorted(groups[g])] for g in order]
+        flat = t.transpose_to([l for m in members for l in m])
+        shape = [math.prod(map(flat.dim_of, m)) for m in members]
+        tensors[site] = Tensor(order, flat.array.reshape(shape))
 
+    bond_dim = {(a, b): tensors[a].dim_of(edge_label(a, b))
+                for a, b in lattice.edges()
+                if a in tensors and edge_label(a, b) in tensors[a].labels}
     return Net2D(circuit, tensors, bond_dim, net.in_bits, net.out_bits,
                  net.open_sites)
 
 
-def _merge_labels(t: Tensor, new_label: str, members: Sequence[str]) -> Tensor:
-    """Combine the member indexes (in the given order) into one label.
-
-    The merged index sits where the first member currently appears; its
-    most significant factor is members[0].
-    """
-    member_set = set(members)
-    if not member_set <= set(t.labels):
-        raise ValueError(f"{members} not all present in {t.labels}")
-    flat: list[str] = []          # transpose target, members made adjacent
-    out_labels: list[str] = []    # labels after the reshape
-    group_sizes: list[int] = []   # axes merged per output label
-    placed = False
-    for l in t.labels:
-        if l in member_set:
-            if not placed:
-                flat.extend(members)
-                out_labels.append(new_label)
-                group_sizes.append(len(members))
-                placed = True
-        else:
-            flat.append(l)
-            out_labels.append(l)
-            group_sizes.append(1)
-    tt = t.transpose_to(tuple(flat))
-    shape = []
-    i = 0
-    for g in group_sizes:
-        shape.append(math.prod(tt.array.shape[i:i + g]))
-        i += g
-    return Tensor(tuple(out_labels), tt.array.reshape(shape))
-
-
-def contract_grid(net: Net2D, order: Optional[Sequence[int]] = None,
-                  thread_count: int = 1) -> Tensor:
+def contract_grid(net: Net2D, order: Optional[Sequence[int]] = None) -> Tensor:
     """Contract every site tensor in the given (default: id) order.
 
     Reference path for small networks; large lattices need a proper plan.
@@ -305,5 +278,5 @@ def contract_grid(net: Net2D, order: Optional[Sequence[int]] = None,
     sites = list(order) if order is not None else sorted(net.tensors)
     cur = net.tensors[sites[0]]
     for s in sites[1:]:
-        cur = contract(cur, net.tensors[s], thread_count)
+        cur = contract(cur, net.tensors[s])
     return cur

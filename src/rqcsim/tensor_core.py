@@ -401,13 +401,13 @@ class Tensor:
             sliced = np.ascontiguousarray(sliced)
         return Tensor(self.labels[:axis] + self.labels[axis + 1:], sliced)
 
-    def transpose_to(self, labels: Sequence[str], thread_count: int = 1) -> "Tensor":
+    def transpose_to(self, labels: Sequence[str]) -> "Tensor":
         labels = tuple(labels)
         if labels == self.labels:
             return self
         perm = tuple(self.labels.index(l) for l in labels)
         plan = planned(self.array.shape, perm)
-        return Tensor(labels, permute_fast(self.array, plan, thread_count))
+        return Tensor(labels, permute_fast(self.array, plan))
 
     def scalar(self) -> complex:
         if self.labels:

@@ -380,6 +380,14 @@ class TestExitCodes:
         assert code == 1, err
         assert err.startswith("error:") and not out
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_nonpositive_threads_env_is_1(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("RQCSIM_THREADS", value)
+        code, out, err = run(capsys, "amplitude", "--lattice", "grid:3x3",
+                             "--depth", "1+8+1", "--out", "0" * 9)
+        assert code == 1, err
+        assert err.startswith("error:") and "RQCSIM_THREADS" in err and not out
+
     @pytest.mark.parametrize("argv", [("--batches", "0"), ("--n-c", "1000")],
                              ids=["batches-zero", "n-c-over"])
     def test_bad_pearson_counts_are_1(self, capsys, argv):

@@ -7,14 +7,17 @@ import pytest
 
 from rqcsim import oracle
 from rqcsim.amplitude_engine import AmplitudeEngine
-from rqcsim.circuits import Lattice, generate_rqc
+from rqcsim.circuits import SCHMIDT_RANK, Lattice, edge_activations, generate_rqc
 from rqcsim.network_builder import (
     build_3d,
     contract_grid,
     contract_time,
     gate_tensor,
     out_label,
+    site_label_order,
+    window_bond,
 )
+from rqcsim.tensor_core import contract
 
 
 def closed_amplitude(circ, in_bits, out_bits, dtype=np.complex128) -> complex:
@@ -153,3 +156,38 @@ class TestNetworkShape:
         assert net.owner_of(out_label(1)) == 1
         with pytest.raises(KeyError):
             net.owner_of("nonexistent")
+
+
+class TestSiteLayout:
+    @pytest.mark.parametrize("lattice,depth,gate", [
+        ("grid:3x3", "1+16+1", "cz"),
+        ("bristlecone-72", "1+8+1", "cz"),  # corners fold into neighbours
+        ("grid:3x4", "1+16+1", "iswap"),
+        ("grid:1x2", "1+88+1", "cz"),       # 11 windows, one 2048-dim bond
+    ])
+    def test_sites_in_label_order_with_merged_bond_dims(self, lattice, depth, gate):
+        lat = Lattice.named(lattice)
+        circ = generate_rqc(lat, depth, seed=0, two_qubit_gate=gate)
+        net = contract_time(build_3d(circ))
+        for t in net.tensors.values():
+            assert t.array.flags.c_contiguous
+            assert t.labels == site_label_order(t.labels)
+        rank = SCHMIDT_RANK[gate]
+        expect = {e: rank ** k for e, k in edge_activations(lat, circ.depth.t).items()
+                  if k and all(s in net.tensors for s in e)}
+        assert net.bond_dim == expect
+
+    def test_windows_merge_in_numeric_order(self):
+        """The first window is the most significant digit of the merged
+        bond: b0, b1, ..., b10, not the string order b0, b1, b10, b2."""
+        circ = generate_rqc(Lattice.named("grid:1x2"), "1+88+1", seed=0)
+        net3 = build_3d(circ)
+        net = contract_time(net3)
+        for q, stack in net3.blocks.items():
+            blocks = stack[0]
+            for blk in stack[1:]:
+                blocks = contract(blocks, blk)
+            windows = [window_bond(w, 0, 1) for w in range(11)]
+            want = blocks.transpose_to(windows + [out_label(q)]).array
+            assert np.array_equal(net.tensors[q].array,
+                                  want.reshape(2 ** 11, 2))

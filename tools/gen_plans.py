@@ -14,51 +14,9 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from rqcsim.circuits import Lattice
-from rqcsim.contraction_plan import (ContractStep, ContractionPlan, CutSpec,
-                                     _region_order, two_region_plan,
-                                     format_plan)
+from rqcsim.contraction_plan import ContractionPlan, format_plan, two_region_plan
 
 OUT_DIR = pathlib.Path(__file__).resolve().parents[1] / "src/rqcsim/data/plans"
-
-
-def grid_7x7() -> ContractionPlan:
-    """Four-quadrant plan: A top-left joins B (right cut), C and D join
-    inside the bottom cut, batching over the open C region."""
-    lat = Lattice.named("grid:7x7")
-    sid = lat.site_id
-    quad = lambda rows, cols: {sid((r, c)) for r in rows for c in cols}
-    A = quad(range(3), range(3))
-    B = quad(range(3), range(3, 7))
-    C = quad(range(3, 7), range(3))
-    D = quad(range(3, 7), range(3, 7))
-    right = (sid((2, 5)), sid((3, 5)))    # sliced site of B / of D
-    bottom = (sid((5, 2)), sid((5, 3)))   # sliced site of C / of D
-    pB = sorted(B - {right[0]})
-    pC = sorted(C - {bottom[0]})
-    ppD = sorted(D - {right[1], bottom[1]})
-
-    def region(name, sites, reuse):
-        order = _region_order(lat, sites)
-        return ("contract", ContractStep(tuple(f"t{s}" for s in order), name, reuse))
-
-    program = (
-        region("A", sorted(A), "global"),
-        region("pB", pB, "global"),
-        region("pC", pC, "global"),
-        region("ppD", ppD, "global"),
-        ("loop", "right"),
-        ("contract", ContractStep(("pB", f"t{right[0]}"), "B", "outer")),
-        ("contract", ContractStep(("ppD", f"t{right[1]}"), "pD", "outer")),
-        ("contract", ContractStep(("A", "B"), "AB", "outer")),
-        ("loop", "bottom"),
-        ("contract", ContractStep(("pC", f"t{bottom[0]}"), "C", None)),
-        ("contract", ContractStep(("pD", f"t{bottom[1]}"), "D", None)),
-        ("contract", ContractStep(("C", "D"), "CD", None)),
-        ("contract", ContractStep(("AB", "CD"), "result", None)),
-        ("output", "result"),
-    )
-    cuts = (CutSpec("right", (right,)), CutSpec("bottom", (bottom,)))
-    return ContractionPlan(lat.kind, cuts, program, tuple(sorted(C)))
 
 
 def bristlecone(size: int, region_c, row_split: int, cut_cols,
@@ -82,7 +40,6 @@ def bristlecone(size: int, region_c, row_split: int, cut_cols,
 def shipped_plans() -> dict[str, ContractionPlan]:
     """Every shipped plan file's name and the plan it must hold."""
     return {
-        "grid_7x7.txt": grid_7x7(),
         # A|B split along the v = r - c + 5 diagonals; single waist cut.
         "bristlecone_24.txt": bris24(),
         "bristlecone_48.txt": bristlecone(
