@@ -34,13 +34,13 @@ at once.  :func:`estimate_cost` runs it on shapes derived from the
 lattice and depth, :class:`PlanExecutor` on the shapes of its network, so
 a plan accepted under a memory budget also runs under it.
 
-``builtin_plan`` returns hand-tuned plans (shipped as text files) for the
-Bristlecone lattices, and generates a balanced two-region plan for any
-rectangle.  A generated plan's batch region C joins in one of two places:
-last, after the A x B join, or early, its core contracted into B's before
-the loops.  Given the run's depth, open sites, precision and two-qubit
-gate, ``builtin_plan`` prices both and keeps the one with fewer flops (C
-last on a tie).
+``builtin_plan`` builds every lattice's plan from three regions and a set
+of cut bonds: a balanced split across the waist of any rectangle, and for
+each Bristlecone lattice the hand-tuned regions listed here.  The batch
+region C joins in one of two places: last, after the A x B join, or
+early, its core contracted into B's before the loops.  Given the run's
+depth, open sites, precision and two-qubit gate, ``builtin_plan`` prices
+both and keeps the one with fewer flops (C last on a tie).
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ import itertools
 import math
 import re
 from dataclasses import dataclass, field
-from importlib import resources
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -85,8 +84,12 @@ class CutSpec:
     def __post_init__(self):
         bonds = tuple(tuple(sorted(b)) for b in self.bonds)
         object.__setattr__(self, "bonds", bonds)
+        if not bonds:
+            raise PlanError(f"cut {self.name!r} names no bond")
         if len(set(bonds)) != len(bonds):
             raise PlanError(f"cut {self.name!r} lists a bond twice")
+        if self.values is not None and len(set(self.values)) != len(self.values):
+            raise PlanError(f"cut {self.name!r} lists a value twice")
 
 
 @dataclass(frozen=True)
@@ -786,15 +789,8 @@ def two_region_plan(lattice: Lattice, region_a: set[int], region_b: set[int],
                            tuple(sorted(region_c)))
 
 
-def grid_plan(lattice: Lattice, n_cuts: Optional[int] = None, *,
-              c_early: bool = False) -> ContractionPlan:
-    """Balanced two-region plan for a full rectangle.
-
-    The grid splits across its longer axis; a small bottom-right block
-    becomes the batch region C, and ``n_cuts`` waist bonds (default: half
-    the waist, the ones farthest from C) become cuts.  C joins last unless
-    ``c_early`` (see :func:`two_region_plan`).
-    """
+def _grid_regions(lattice: Lattice, n_cuts: Optional[int] = None):
+    """Regions A, B, C and cut bonds of :func:`grid_plan`'s split."""
     rows, cols = lattice.bounding_shape
     if lattice.n != rows * cols:
         raise PlanError(f"no grid plan for irregular lattice {lattice.kind!r}")
@@ -820,31 +816,73 @@ def grid_plan(lattice: Lattice, n_cuts: Optional[int] = None, *,
     if not 0 <= n_cuts <= len(waist):
         raise PlanError(f"{lattice.kind} waist has {len(waist)} bonds, "
                         f"cannot cut {n_cuts}")
-    cut_bonds = waist[:n_cuts]
     region_c = {sid(r, c) for r in c_rows for c in c_cols}
     region_a = {sid(r, c) for r in range(rows) for c in range(cols)
                 if in_a(r, c)} - region_c
     region_b = set(range(lattice.n)) - region_a - region_c
-    return two_region_plan(lattice, region_a, region_b, region_c, cut_bonds,
+    return region_a, region_b, region_c, waist[:n_cuts]
+
+
+def grid_plan(lattice: Lattice, n_cuts: Optional[int] = None, *,
+              c_early: bool = False) -> ContractionPlan:
+    """Balanced two-region plan for a full rectangle.
+
+    The grid splits across its longer axis; a small bottom-right block
+    becomes the batch region C, and ``n_cuts`` waist bonds (default: half
+    the waist, the ones farthest from C) become cuts.  C joins last unless
+    ``c_early`` (see :func:`two_region_plan`).
+    """
+    return two_region_plan(lattice, *_grid_regions(lattice, n_cuts),
                            c_early=c_early)
 
 
-_PLAN_FILES = {
-    "bristlecone-24": "bristlecone_24.txt",
-    "bristlecone-48": "bristlecone_48.txt",
-    "bristlecone-60": "bristlecone_60.txt",
-    "bristlecone-64": "bristlecone_64.txt",
-    "bristlecone-70": "bristlecone_70.txt",
-    "bristlecone-72": "bristlecone_72.txt",
+def _waist(row: int, cols: Sequence[int]) -> tuple:
+    """The bonds between rows ``row - 1`` and ``row`` at ``cols``."""
+    return tuple(((row - 1, c), (row, c)) for c in cols)
+
+
+#: The hand-tuned Bristlecone plans, by lattice kind, on sites (row, col):
+#: who is in region A, who is in the batch region C (C wins where both
+#: hold; B is the rest), the cut bonds, and sites left out of every region
+#: (bristlecone-72's two degree-1 corners, which ``contract_time`` folds
+#: into their neighbours).  Each C carries no cut and sits far from the
+#: cut waist.
+_BRISTLECONE = {
+    # A | B along the r - c diagonals; a single waist cut.
+    "bristlecone-24": (lambda r, c: r < c, lambda r, c: r - c >= 4,
+                       (((2, 3), (3, 3)),), ()),
+    "bristlecone-48": (lambda r, c: r < 5, lambda r, c: c <= 2,
+                       _waist(5, (6, 7)), ()),
+    "bristlecone-60": (lambda r, c: r < 5,
+                       lambda r, c: c == 7 or (c >= 8 and 4 <= r <= 5),
+                       _waist(5, (0, 1, 2)), ()),
+    "bristlecone-64": (lambda r, c: r < 6, lambda r, c: c <= 1,
+                       _waist(6, (6, 7)), ()),
+    "bristlecone-70": (lambda r, c: r < 5, lambda r, c: c <= 2,
+                       _waist(5, (7, 8, 9, 10)), ()),
+    "bristlecone-72": (lambda r, c: r < 6, lambda r, c: c <= 2,
+                       _waist(6, (7, 8, 9, 10)), ((0, 5), (11, 5))),
 }
 
 
+def _bristlecone_regions(lattice: Lattice):
+    """Regions A, B, C and cut bonds of a Bristlecone lattice's plan."""
+    in_a, in_c, cut_coords, left_out = _BRISTLECONE[lattice.kind]
+    regions = {"A": set(), "B": set(), "C": set()}
+    for rc in lattice.sites:
+        if rc not in left_out:
+            name = "C" if in_c(*rc) else "A" if in_a(*rc) else "B"
+            regions[name].add(lattice.site_id(rc))
+    cut_bonds = [tuple(lattice.site_id(rc) for rc in bond) for bond in cut_coords]
+    return regions["A"], regions["B"], regions["C"], cut_bonds
+
+
 def load_plan(source) -> ContractionPlan:
-    """Load a plan from a file path or a shipped plan name (lattice kind)."""
+    """Load a plan from a file path.  A Bristlecone lattice kind (such as
+    ``bristlecone-24``) names that lattice's builtin plan, C joining last."""
     name = str(source)
-    if name in _PLAN_FILES:
-        ref = resources.files("rqcsim.data.plans") / _PLAN_FILES[name]
-        return parse_plan(ref.read_text())
+    if name in _BRISTLECONE:
+        return builtin_plan(Lattice.named(name))
     with open(name, "r", encoding="utf-8") as fh:
         return parse_plan(fh.read())
 
@@ -854,19 +892,19 @@ def builtin_plan(lattice: Lattice, depth=None,
                  open_sites: Sequence[int] = (),
                  itemsize: int = 8,
                  two_qubit_gate: str = "cz") -> ContractionPlan:
-    """The shipped plan for this lattice.
+    """The builtin plan for this lattice, built from its regions.
 
-    Bristlecone lattices use hand-tuned plan files; rectangles get a
-    generated balanced split.  Given ``depth``, each plan is priced by
+    Bristlecone lattices use their hand-tuned regions and cuts; rectangles
+    get a balanced split.  Without ``depth`` the plan has C joining last.
+    Given ``depth``, the plan is built with C joining last and with C
+    joining early (see :func:`two_region_plan`), each priced by
     :func:`estimate_cost` for ``open_sites`` left open, ``itemsize``-byte
-    entries and ``two_qubit_gate``'s bond dimension.  A
-    generated grid plan is built with C joining last and with C joining
-    early (see :func:`two_region_plan`) and keeps the one priced at fewer
-    total flops, C last on a tie; without a depth it keeps C last.  When
-    ``memory_budget`` is given (bytes), a plan must also fit it at its
-    priced peak: generated grid plans respond by cutting more waist bonds
-    until one placement fits, file-based plans fail with a diagnostic
-    instead of silently changing shape.
+    entries and ``two_qubit_gate``'s bond dimension, and the one priced at
+    fewer total flops is kept, C last on a tie.  When ``memory_budget`` is
+    given (bytes), the kept placement must also fit it at its priced peak:
+    a grid cuts more waist bonds until one placement fits, and a
+    Bristlecone lattice whose placements both exceed it fails with a
+    diagnostic instead of changing shape.
     """
     def price(plan: ContractionPlan) -> CostEstimate:
         return estimate_cost(plan, lattice, depth, open_sites=open_sites,
@@ -874,33 +912,32 @@ def builtin_plan(lattice: Lattice, depth=None,
 
     if memory_budget is not None and depth is None:
         raise ValueError("memory budgets need the circuit depth")
-    if lattice.kind in _PLAN_FILES:
-        plan = load_plan(lattice.kind)
-        if memory_budget is not None and price(plan).peak_bytes > memory_budget:
-            raise MemoryBudgetError(
-                f"plan for {lattice.kind} needs ~{price(plan).peak_bytes} bytes "
-                f"at depth {DepthSpec.parse(depth)}, budget is {memory_budget}"
-            )
-        return plan
-
-    if not lattice.kind.startswith("grid:"):
+    if lattice.kind in _BRISTLECONE:
+        regions = _bristlecone_regions(lattice)
+    elif lattice.kind.startswith("grid:"):
+        regions = _grid_regions(lattice)
+    else:
         raise PlanError(f"no builtin plan for lattice {lattice.kind!r}")
-    plan = grid_plan(lattice)
     if depth is None:
-        return plan
+        return two_region_plan(lattice, *regions)
     while True:
-        plans = (plan, grid_plan(lattice, plan.num_cuts, c_early=True))
+        plans = [two_region_plan(lattice, *regions, c_early=early)
+                 for early in (False, True)]
         costs = [price(p) for p in plans]
         fits = [(cost.total_flops, i) for i, cost in enumerate(costs)
                 if memory_budget is None or cost.peak_bytes <= memory_budget]
         if fits:
             return plans[min(fits)[1]]
+        least = min(cost.peak_bytes for cost in costs)
+        if lattice.kind in _BRISTLECONE:
+            raise MemoryBudgetError(
+                f"plan for {lattice.kind} needs ~{least} bytes at depth "
+                f"{DepthSpec.parse(depth)}, budget is {memory_budget}")
         try:
-            plan = grid_plan(lattice, plan.num_cuts + 1)
+            regions = _grid_regions(lattice, len(regions[3]) + 1)
         except PlanError:
             raise MemoryBudgetError(
                 f"even cutting the whole waist, {lattice.kind} at depth "
-                f"{DepthSpec.parse(depth)} needs ~"
-                f"{min(cost.peak_bytes for cost in costs)} bytes, "
+                f"{DepthSpec.parse(depth)} needs ~{least} bytes, "
                 f"budget is {memory_budget}"
             ) from None

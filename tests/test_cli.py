@@ -7,6 +7,7 @@ import json
 import pytest
 
 from rqcsim import _kernels, cli, contraction_plan
+from rqcsim.circuits import Lattice
 
 
 def run(capsys, *argv):
@@ -270,6 +271,32 @@ class TestMemoryBudget:
         assert code == 0, err
         assert json.loads(out.splitlines()[1])["paths"] == 8 ** 3
 
+    def test_bristlecone_keeps_the_cheaper_placement_that_fits(self, capsys):
+        """bristlecone-72 1+8+1 prices C early at fewer flops but a larger
+        peak (1,735,616 against 1,704,896 bytes), so a budget between the
+        two keeps C last and the amplitude is unchanged."""
+        argv = ("amplitude", "--lattice", "bristlecone-72", "--depth", "1+8+1",
+                "--out", "0" * 72)
+        runs = {}
+        for budget in ((), ("--memory-budget", "1720000")):
+            code, out, err = run(capsys, *argv, *budget)
+            assert code == 0, err
+            cfg, rec = (json.loads(line) for line in out.splitlines())
+            runs[budget] = cfg["config"], complex(rec["re"], rec["im"])
+        (free, amp_free), (capped, amp_capped) = runs.values()
+        assert (free["c_joins"], capped["c_joins"]) == ("B0C", "result")
+        assert free["plan_flops"] < capped["plan_flops"]
+        assert capped["plan_peak_bytes"] <= 1720000 < free["plan_peak_bytes"]
+        assert abs(amp_free - amp_capped) <= 1e-4 * abs(amp_free)
+
+    def test_bristlecone_over_budget_in_both_placements_is_2(self, capsys):
+        code, out, err = run(
+            capsys, "amplitude", "--lattice", "bristlecone-24", "--depth",
+            "1+16+1", "--out", "0" * 24, "--memory-budget", "100K",
+        )
+        assert code == 2 and not out
+        assert "plan for bristlecone-24 needs ~135464 bytes" in err
+
 
 class TestPlanChoice:
     """The automatic plan is priced for the run that happens, and the
@@ -346,6 +373,20 @@ class TestExitCodes:
         )
         assert code == 1
         assert "not a lattice bond" in err
+
+    def test_repeated_cut_value_is_1(self, tmp_path, capsys):
+        """A value listed twice would count its path twice: on grid:3x3's
+        one-cut plan, values=0,1,0,1 doubled the 1+8+1 amplitude."""
+        plan = contraction_plan.grid_plan(Lattice.named("grid:3x3"))
+        text = contraction_plan.format_plan(plan)
+        path = tmp_path / "twice.plan"
+        path.write_text(text.replace("cut w0 1:2", "cut w0 1:2 values=0,1,0,1"))
+        assert path.read_text() != text
+        code, out, err = run(capsys, "amplitude", "--lattice", "grid:3x3",
+                             "--depth", "1+8+1", "--plan", str(path),
+                             "--out", "0" * 9)
+        assert code == 1 and not out
+        assert "value twice" in err
 
     def test_out_of_memory_is_2(self, circuit_file, capsys, monkeypatch):
         def no_memory(*args, **kwargs):

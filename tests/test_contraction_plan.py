@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import importlib.util
+import hashlib
+import itertools
 import math
-import pathlib
 import threading
 import tracemalloc
-from importlib import resources
 
 import numpy as np
 import pytest
@@ -32,12 +31,11 @@ from rqcsim.contraction_plan import (
     grid_plan,
     load_plan,
     parse_plan,
+    two_region_plan,
 )
-from rqcsim.network_builder import build_3d, contract_grid, contract_time
+from rqcsim.network_builder import (build_3d, contract_grid, contract_time,
+                                    out_label)
 from rqcsim.tensor_core import Tensor
-
-
-GEN_PLANS = pathlib.Path(__file__).resolve().parents[1] / "tools" / "gen_plans.py"
 
 
 def closed_net(circ, in_bits=0, out_bits=0):
@@ -105,6 +103,16 @@ class TestPlanText:
         with pytest.raises(PlanError):
             CutSpec("w0", ((0, 1), (1, 0)))
 
+    def test_cut_needs_bonds_and_distinct_values(self):
+        """A repeated value would sum its paths twice, and a cut without
+        bonds slices nothing."""
+        with pytest.raises(PlanError, match="value twice"):
+            CutSpec("w0", ((0, 1),), values=(0, 1, 0, 1))
+        with pytest.raises(PlanError, match="no bond"):
+            CutSpec("w0", ())
+        with pytest.raises(PlanError, match="line 2"):
+            parse_plan("plan grid:2x2\ncut w0 values=0,1\n")
+
     def test_load_plan_from_path(self, tmp_path, grid_4x4):
         plan = grid_plan(grid_4x4)
         p = tmp_path / "a.plan"
@@ -116,17 +124,6 @@ class TestPlanText:
             plan = builtin_plan(Lattice.named(kind))
             assert plan.lattice_kind == kind
             assert plan.batch_sites
-
-    def test_shipped_plan_files_match_generator(self):
-        """tools/gen_plans.py would rewrite no shipped plan file."""
-        spec = importlib.util.spec_from_file_location("gen_plans", GEN_PLANS)
-        gen_plans = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(gen_plans)
-        plans = gen_plans.shipped_plans()
-        assert sorted(plans) == sorted(contraction_plan._PLAN_FILES.values())
-        for fname, plan in plans.items():
-            shipped = resources.files("rqcsim.data.plans") / fname
-            assert format_plan(plan) == shipped.read_text(), fname
 
 
 class TestPathSum:
@@ -198,6 +195,38 @@ class TestPathSum:
         assert abs(got - contract_grid(net).scalar()) <= scale
         assert abs(got - want) <= scale
 
+    @pytest.mark.parametrize("depth", ["1+8+1", "1+16+1"])
+    def test_bristlecone_placements_sum_to_uncut_value(self, depth):
+        """Either placement of C on bristlecone-24, in both precisions,
+        closed and with C's outputs open, sums its paths to the uncut
+        contraction and to the dense reference."""
+        lat = Lattice.named("bristlecone-24")
+        circ = generate_rqc(lat, depth, seed=2)
+        regions = contraction_plan._bristlecone_regions(lat)
+        c_sites = builtin_plan(lat).batch_sites
+        state = oracle.evolve(circ)
+        # every output outside C is 0; qubit 0 is the index's top bit
+        index = [sum(bit << (lat.n - 1 - q) for q, bit in zip(c_sites, bits))
+                 for bits in itertools.product((0, 1), repeat=len(c_sites))]
+        reference = state[index].reshape((2,) * len(c_sites))
+        del state
+        for dtype, tol in ((np.complex64, 1e-5), (np.complex128, 1e-10)):
+            base = contract_time(build_3d(circ, 0, None, dtype=dtype))
+            for open_sites in ((), c_sites):
+                net = base.fix_outputs({q: 0 for q in range(lat.n)
+                                        if q not in open_sites})
+                labels = [out_label(q) for q in open_sites]
+                want = reference if open_sites else reference[(0,) * len(c_sites)]
+                uncut = contract_grid(net).transpose_to(labels).array
+                scale = tol * max(np.abs(want).max(), 2 ** (-lat.n / 2))
+                for c_early in (False, True):
+                    plan = two_region_plan(lat, *regions, c_early=c_early)
+                    ex = PlanExecutor(net, plan)
+                    got = sum(ex.run(p).transpose_to(labels).array
+                              for p in enumerate_paths(ex.cut_dims))
+                    assert np.abs(got - uncut).max() <= scale
+                    assert np.abs(got - want).max() <= scale
+
 
 class TestPlacement:
     """builtin_plan joins C where estimate_cost prices fewer flops."""
@@ -229,6 +258,55 @@ class TestPlacement:
         region = grid_plan(lat).batch_sites
         assert builtin_plan(lat, "1+8+1", open_sites=region) == grid_plan(lat)
         assert builtin_plan(lat, "1+8+1").c_join_step() == "B0C"
+
+    # kind -> cut bonds, batch sites, leading hex digits of the sha256 of
+    # the plan's text
+    BRISTLECONE = {
+        "bristlecone-24": ([((4, 9),)], (16, 17, 20, 21, 22, 23),
+                           "5c6bb820cad12dee"),
+        "bristlecone-48": ([((21, 30),), ((22, 31),)],
+                           (9, 16, 17, 24, 25, 26, 32, 33, 34, 39, 40, 44),
+                           "1d6fd2d480b0a096"),
+        "bristlecone-60": ([((20, 30),), ((21, 31),), ((22, 32),)],
+                           (12, 19, 27, 28, 29, 37, 38, 39, 46, 52),
+                           "46902e1b2b0a2961"),
+        "bristlecone-64": ([((30, 38),), ((31, 39),)],
+                           (9, 16, 17, 24, 25, 32, 33, 40, 41, 48),
+                           "07dfc246bfe6eb0b"),
+        "bristlecone-70": ([((31, 42),), ((32, 43),), ((33, 44),), ((34, 45),)],
+                           (8, 15, 16, 24, 25, 26, 35, 36, 37, 46, 47, 55),
+                           "683f5be41e12d74c"),
+        "bristlecone-72": ([((32, 43),), ((33, 44),), ((34, 45),), ((35, 46),)],
+                           (9, 16, 17, 25, 26, 27, 36, 37, 38, 47, 48, 56),
+                           "3c01120a545c1f1e"),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(BRISTLECONE))
+    def test_bristlecone_plan_without_depth_is_c_last(self, kind):
+        cut_bonds, batch_sites, digest = self.BRISTLECONE[kind]
+        plan = builtin_plan(Lattice.named(kind))
+        assert plan.c_join_step() == "result"
+        assert [cut.bonds for cut in plan.cuts] == cut_bonds
+        assert plan.batch_sites == batch_sites
+        text = format_plan(plan).encode()
+        assert hashlib.sha256(text).hexdigest()[:16] == digest
+        assert load_plan(kind) == plan
+
+    def test_closed_bristlecone24_joins_c_early(self):
+        lat = Lattice.named("bristlecone-24")
+        plan = builtin_plan(lat, "1+32+1", itemsize=8)
+        assert plan.c_join_step() == "B0C"
+        assert estimate_cost(plan, lat, "1+32+1").total_flops == 41_133_604_864
+        assert (plan.cuts, plan.batch_sites) == \
+            (builtin_plan(lat).cuts, builtin_plan(lat).batch_sites)
+
+    @pytest.mark.parametrize("depth", ["1+8+1", "1+16+1"])
+    def test_open_c_on_bristlecone24_keeps_c_last(self, depth):
+        lat = Lattice.named("bristlecone-24")
+        last = builtin_plan(lat)
+        for itemsize in (8, 16):
+            assert builtin_plan(lat, depth, open_sites=last.batch_sites,
+                                itemsize=itemsize) == last
 
     def test_tie_keeps_c_last(self, grid_4x4, monkeypatch):
         monkeypatch.setattr(contraction_plan, "estimate_cost",
