@@ -27,6 +27,7 @@ from .circuits import Circuit
 from .contraction_plan import (ContractionPlan, PlanExecutor, builtin_plan,
                                enumerate_paths)
 from .network_builder import Net2D, as_bits, build_3d, contract_time, out_label
+from .tensor_core import Tensor
 
 
 @dataclass(frozen=True)
@@ -151,11 +152,7 @@ class AmplitudeEngine:
             {q: int(b) for q, b in enumerate(s_ab) if q not in open_set})
         ex = self._executor(net)
         paths = fidelity.paths_for(ex.cut_dims)
-        acc = None
-        for p in paths:
-            t = ex.run(p)
-            t = t.transpose_to(tuple(out_label(q) for q in c_sites))
-            acc = t.array.copy() if acc is None else acc + t.array
+        total = _path_sum(ex, paths, [out_label(q) for q in c_sites])
 
         rng = np.random.Generator(np.random.PCG64(seed))
         if n_c == 2 ** len(c_sites):
@@ -163,7 +160,7 @@ class AmplitudeEngine:
         else:
             values = np.sort(rng.choice(2 ** len(c_sites), size=n_c,
                                         replace=False))
-        amps = acc.reshape(-1)[values]
+        amps = total.reshape(-1)[values]
         stats = PathStats(math.prod(ex.cut_dims), len(paths), ex.flops,
                           ex.peak_bytes)
         return AmplitudeBatch(as_bits(in_bits, n), s_ab, c_sites,
@@ -177,14 +174,19 @@ class AmplitudeEngine:
         Exponential in qubit count — a diagnostic for desk-scale circuits,
         and the reference for fidelity-versus-fraction experiments.
         """
-        net = self.base_net(in_bits)
-        ex = self._executor(net)
-        order = tuple(out_label(q) for q in range(self.circuit.n))
-        acc = None
-        for p in fidelity.paths_for(ex.cut_dims):
-            arr = ex.run(p).transpose_to(order).array.reshape(-1)
-            acc = arr.copy() if acc is None else acc + arr
-        return acc
+        ex = self._executor(self.base_net(in_bits))
+        return _path_sum(ex, fidelity.paths_for(ex.cut_dims),
+                         [out_label(q) for q in range(self.circuit.n)]).reshape(-1)
+
+
+def _path_sum(ex: PlanExecutor, paths, labels: Sequence[str]) -> np.ndarray:
+    """``ex``'s output summed over ``paths`` in the order every path gives
+    it, then transposed once to ``labels``."""
+    acc = None
+    for p in paths:
+        t = ex.run(p)
+        acc = t.array.copy() if acc is None else acc + t.array
+    return Tensor(t.labels, acc).transpose_to(labels).array
 
 
 def mixed_state_samples(circuit: Circuit, f: float, count: int,

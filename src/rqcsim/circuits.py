@@ -382,11 +382,7 @@ def cz_cut_count(circuit: Circuit, bipartition: tuple[Iterable[int], Iterable[in
         raise ValueError("bipartition parts overlap")
     if part_a | part_b != set(range(circuit.n)):
         raise ValueError("bipartition does not cover all sites")
-    count = 0
-    for g in circuit.two_qubit_gates():
-        if (g.qubits[0] in part_a) != (g.qubits[1] in part_a):
-            count += 1
-    return count
+    return cross_gate_count(circuit, part_a, part_b)
 
 
 def cross_gate_count(circuit: Circuit, part_x: Iterable[int], part_y: Iterable[int]) -> int:

@@ -20,13 +20,13 @@ A plan is an ordered program of four statement kinds::
 the executor folds them left to right.  ``loop`` statements open the
 per-cut loops in declaration order and extend to the end of the program.
 Steps placed before a cut's ``loop`` may not consume tensors sliced by
-that cut; steps inside the loops are cached by the cut values they
-actually depend on, so a step whose dependencies did not change between
-consecutive paths is never recomputed (paths are visited in lexicographic
-order to maximise those hits).  ``reuse=`` annotations are declarative
-claims checked against the computed dependency sets: ``global`` promises
-independence from every cut, ``outer`` promises independence from at
-least the innermost one.
+that cut.  The program runs as a loop nest: each step, and each site
+tensor a cut slices, belongs to the innermost loop whose cut it depends
+on, and keeps its value until that loop or an outer one ticks (paths are
+visited in lexicographic order, so outer loops tick rarely).  ``reuse=``
+annotations are declarative claims checked against the computed
+dependency sets: ``global`` promises independence from every cut,
+``outer`` promises independence from at least the innermost one.
 
 One symbolic walk over the plan's shapes prices it: flops per step and
 over the whole path space, and a bound on the bytes the executor holds
@@ -55,8 +55,8 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import _kernels
-from .circuits import SCHMIDT_RANK, DepthSpec, Lattice, edge_activations
-from .network_builder import Net2D, edge_label, out_label, site_label_order
+from .circuits import DepthSpec, Lattice
+from .network_builder import FOLDED_CORNERS, Net2D, edge_label, site_shapes
 from .tensor_core import (Tensor, contract, route, trim_scratch,
                           workspace_slots)
 
@@ -416,20 +416,6 @@ def enumerate_paths(cut_dims: Sequence[int], f: float = 1.0,
     return paths
 
 
-def _decode_bond_values(cut: CutSpec, value: int,
-                        bond_dims: dict[tuple[int, int], int]) -> dict[tuple[int, int], int]:
-    """Split a cut's joint value into one index per bond (first bond is
-    the most significant digit, matching lexicographic path order)."""
-    if cut.values is not None:
-        value = cut.values[value]
-    out = {}
-    for bond in reversed(cut.bonds):
-        d = bond_dims.get(bond, 1)
-        out[bond] = value % d
-        value //= d
-    return out
-
-
 # ---------------------------------------------------------------------------
 # execution
 
@@ -437,95 +423,66 @@ def _decode_bond_values(cut: CutSpec, value: int,
 class PlanExecutor:
     """Runs a plan against a 2D network, one path at a time.
 
-    The executor keeps a last-value cache per step, keyed by the values of
-    the cuts that step actually depends on, so iterating paths in
-    lexicographic order recomputes only the steps whose loop variables
-    changed.  At construction it prices the plan with the same shape walk
-    as :func:`estimate_cost`, fed the shapes and dtype of ``net`` itself:
-    ``peak_bytes`` is that walk's bound on the live set, a plan over
-    ``memory_budget`` is refused before anything is contracted, the
-    thread's operand scratch is trimmed to what the walk prices for it,
-    and ``flops`` grows by each evaluated step's precomputed count.
+    At construction it prices and schedules the plan with the shape walk
+    of :func:`estimate_cost`, fed the shapes and dtype of ``net`` itself:
+    ``peak_bytes`` is the walk's bound on the live set, a plan over
+    ``memory_budget`` is refused before anything is contracted, and the
+    thread's operand scratch is trimmed to the walk's price for it.
+    ``run`` keeps every step's and sliced site tensor's last value and
+    reruns only those at or inside the outermost loop whose cut value
+    changed since the last completed path; ``flops`` grows by each rerun
+    step's count.
     """
 
     def __init__(self, net: Net2D, plan: ContractionPlan, *,
                  thread_count: int = 1, memory_budget: Optional[int] = None):
-        self.net = net
-        self.plan = plan
         self.thread_count = thread_count
         self.cut_dims = plan.cut_dims(net.bond_dim)
-        self.analysis, cost = _priced(
+        cost, self._reruns = _priced(
             plan, net.circuit.lattice,
             tuple((s, tuple(zip(t.labels, t.dims))) for s, t in net.tensors.items()),
             self.cut_dims, max(t.array.itemsize for t in net.tensors.values()),
             _kernels.get_backend())
-        for cut in plan.cuts:
-            if cut.values is not None:
-                top = math.prod(net.bond_dim.get(b, 1) for b in cut.bonds)
-                if any(not 0 <= v < top for v in cut.values):
-                    raise PlanError(f"cut {cut.name!r} values out of range")
-
         if memory_budget is not None and cost.peak_bytes > memory_budget:
             raise MemoryBudgetError(
                 f"plan needs ~{cost.peak_bytes} bytes, budget is {memory_budget}")
         self.peak_bytes = cost.peak_bytes
         trim_scratch(cost.scratch_bytes)
         self.flops = 0
-        self._step_flops = {sc.name: sc.flops for sc in cost.steps}
-        self._step_cache: dict[str, tuple[tuple[int, ...], Tensor]] = {}
-        self._site_cache: dict[int, tuple[tuple[int, ...], Tensor]] = {}
-
-    def _site_tensor(self, site: int, path: tuple[int, ...]) -> Tensor:
-        cuts = self.analysis.site_cuts.get(site, ())
-        if not cuts:
-            return self.net.tensors[site]
-        key = tuple(path[i] for i in cuts)
-        cached = self._site_cache.get(site)
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        tensor = self.net.tensors[site]
-        for i in cuts:
-            cut = self.plan.cuts[i]
-            for bond, value in _decode_bond_values(cut, path[i], self.net.bond_dim).items():
-                label = edge_label(*bond)
-                if label in tensor.labels:
-                    tensor = tensor.fix(label, value)
-        self._site_cache[site] = (key, tensor)
-        return tensor
+        self._sites = {f"t{s}": t for s, t in net.tensors.items()}
+        self._values = dict(self._sites)  # name -> its value on the last path
+        self._last: Optional[tuple[int, ...]] = None  # last completed path
+        self._output = self._reruns[0][-1][0]  # every step feeds the last
 
     def run(self, path: tuple[int, ...]) -> Tensor:
         """Execute one path; returns the output tensor (scalar-ranked
         unless the network has open outputs)."""
-        if len(path) != len(self.plan.cuts):
+        path = tuple(path)
+        if len(path) != len(self.cut_dims):
             raise ValueError(f"path has {len(path)} values, plan has "
-                             f"{len(self.plan.cuts)} cuts")
+                             f"{len(self.cut_dims)} cuts")
         for value, dim in zip(path, self.cut_dims):
             if not 0 <= value < dim:
                 raise ValueError(f"path value {value} out of range [0, {dim})")
 
-        values: dict[str, Tensor] = {}
-        deps = self.analysis.step_deps
-        for kind, payload in self.plan.program:
-            if kind == "loop":
-                continue
-            if kind == "output":
-                return values[payload]
-            step = payload
-            key = tuple(path[i] for i in deps[step.name])
-            cached = self._step_cache.get(step.name)
-            if cached is not None and cached[0] == key:
-                values[step.name] = cached[1]
-                continue
-            acc = None
-            for name in step.inputs:
-                m = _SITE_RE.fullmatch(name)
-                operand = self._site_tensor(int(m.group(1)), path) if m else values[name]
-                acc = operand if acc is None else contract(
-                    acc, operand, thread_count=self.thread_count)
-            self.flops += self._step_flops[step.name]
-            values[step.name] = acc
-            self._step_cache[step.name] = (key, acc)
-        raise PlanError("program ended without output")  # pragma: no cover
+        last, self._last = self._last, None  # nothing is current until done
+        outer = -1 if last is None else next(
+            (i for i, (v, w) in enumerate(zip(path, last)) if v != w), len(path))
+        values = self._values
+        for name, inputs, fixes, flops in self._reruns[outer + 1]:
+            if fixes:
+                acc = self._sites[name]
+                for label, cut, digits in fixes:
+                    acc = acc.fix(label, digits[path[cut]])
+            else:
+                acc = values[inputs[0]]
+                for other in inputs[1:]:
+                    acc = contract(acc, values[other],
+                                   thread_count=self.thread_count)
+                self.flops += flops
+            values[name] = acc
+        self._last = path
+        return values[self._output]
 
 
 def execute_plan(net: Net2D, plan: ContractionPlan, path: tuple[int, ...], *,
@@ -560,25 +517,38 @@ class CostEstimate:
 
 def _walk(plan: ContractionPlan, analysis: PlanAnalysis,
           shapes: dict[int, dict[str, int]], cut_dims: Sequence[int],
-          itemsize: int) -> CostEstimate:
+          itemsize: int) -> tuple[CostEstimate, tuple]:
     """Fold the plan's shapes (site -> label -> dim, in the site tensor's
     index order) through :func:`route`, the way the executor folds its
-    tensors, and price every step and the live set.
+    tensors, price every step and the live set, and schedule the plan.
 
     Flops follow the 8-real-ops-per-complex-multiply-add convention for
-    each pairwise matrix product.  Evaluation counts model the step cache
-    under lexicographic path order: a step reruns whenever any loop at or
-    above its innermost dependency ticks.  The peak bounds, in bytes, the
-    executor's live set at any moment: every step's cached output (a
-    recomputing step's stale value included), every cached site slice,
+    each pairwise matrix product.  A step reruns whenever a loop at or
+    outside its innermost dependency ticks.  The peak bounds, in bytes,
+    the executor's live set at any moment: every step's last output (a
+    recomputing step's stale value included), every sliced site tensor,
     the arrays one fold or slicing makes fresh (the accumulator this step
     built so far plus the new product or slices), and ``contract``'s
     operand scratch: per side and workspace slot, the largest operand the
     route copies there.
+
+    The schedule's entry ``k + 1`` lists what :meth:`PlanExecutor.run`
+    reruns, in program order, when loop ``k`` is the outermost that ticked
+    (-1: every entry): ``(name, inputs, fixes, flops)``.  A step folds
+    ``inputs`` into ``name``; a sliced site tensor ``name`` applies
+    ``fixes``, each (label, cut, the label's index per value of that cut).
     """
+    def bond_dim(bond: tuple[int, int]) -> int:
+        return shapes.get(bond[0], {}).get(edge_label(*bond), 1)
+
+    for cut in plan.cuts:
+        if any(not 0 <= v < math.prod(map(bond_dim, cut.bonds))
+               for v in cut.values or ()):
+            raise PlanError(f"cut {cut.name!r} values out of range")
     cached = slices = transient = 0
     scratch = ([0, 0], [0, 0])  # side (left, right) -> slot -> entries
     steps: list[StepCost] = []
+    schedule: list[tuple[int, tuple]] = []  # (innermost cut, entry)
     folded: dict[str, dict[str, int]] = {}
     for step in plan.steps():
         acc: Optional[dict[str, int]] = None
@@ -590,13 +560,21 @@ def _walk(plan: ContractionPlan, analysis: PlanAnalysis,
                 site = int(m.group(1))
                 operand = dict(shapes[site])
                 sizes = []  # entries after each fix, in executor order
+                fixes = []
                 for i in analysis.site_cuts.get(site, ()):
-                    for bond in reversed(plan.cuts[i].bonds):
-                        if operand.pop(edge_label(*bond), None) is not None:
+                    cut, stride = plan.cuts[i], 1
+                    for bond in reversed(cut.bonds):
+                        label, dim = edge_label(*bond), bond_dim(bond)
+                        if operand.pop(label, None) is not None:
                             sizes.append(math.prod(operand.values()))
+                            fixes.append((label, i, tuple(
+                                v // stride % dim
+                                for v in cut.values or range(cut_dims[i]))))
+                        stride *= dim
                 if sizes:
                     slices += sizes[-1]
                     transient = max(transient, fresh + sum(sizes[:2]))
+                    schedule.append((fixes[-1][1], (name, (), tuple(fixes), 0)))
             else:
                 operand = folded[name]
             if acc is None:
@@ -618,22 +596,25 @@ def _walk(plan: ContractionPlan, analysis: PlanAnalysis,
         folded[step.name] = acc
         cached += math.prod(acc.values())
         deps = analysis.step_deps[step.name]
-        evals = math.prod(cut_dims[:max(deps) + 1]) if deps else 1
-        steps.append(StepCost(step.name, flops, evals))
+        inner = max(deps, default=-1)
+        steps.append(StepCost(step.name, flops, math.prod(cut_dims[:inner + 1])))
+        schedule.append((inner, (step.name, step.inputs, (), flops)))
     left, right = (sum(held) * itemsize for held in scratch)
+    reruns = tuple(tuple(entry for inner, entry in schedule if inner >= outer)
+                   for outer in range(-1, len(cut_dims) + 1))
     return CostEstimate(math.prod(cut_dims),
                         sum(sc.flops * sc.evaluations for sc in steps),
                         (cached + slices + transient) * itemsize + left + right,
-                        tuple(steps), (left, right))
+                        tuple(steps), (left, right)), reruns
 
 
 @functools.lru_cache(maxsize=32)
 def _priced(plan: ContractionPlan, lattice: Lattice,
             shapes: tuple[tuple[int, tuple[tuple[str, int], ...]], ...],
             cut_dims: tuple[int, ...], itemsize: int,
-            backend: str) -> tuple[PlanAnalysis, CostEstimate]:
+            backend: str) -> tuple[CostEstimate, tuple]:
     """Validate ``plan`` against a network's lattice and site shapes
-    (site, ((label, dim), ...)) and price it.
+    (site, ((label, dim), ...)), then price and schedule it (:func:`_walk`).
 
     Every executor built on networks of one shape -- each batch of a
     sampling run, each amplitude of one circuit -- gets the same answer,
@@ -649,8 +630,8 @@ def _priced(plan: ContractionPlan, lattice: Lattice,
     extra = plan.site_ids() - sites
     if extra:
         raise PlanError(f"plan references absent site tensors {sorted(extra)}")
-    return analysis, _walk(plan, analysis, {s: dict(ls) for s, ls in shapes},
-                           cut_dims, itemsize)
+    return _walk(plan, analysis, {s: dict(ls) for s, ls in shapes},
+                 cut_dims, itemsize)
 
 
 def estimate_cost(plan: ContractionPlan, lattice: Lattice, depth, *,
@@ -660,27 +641,17 @@ def estimate_cost(plan: ContractionPlan, lattice: Lattice, depth, *,
     """Price ``plan`` over its full path space from the lattice and depth
     alone, without building a network.
 
-    Site shapes come from the lattice's bond activations, each gate on a
-    bond multiplying its dimension by ``two_qubit_gate``'s Schmidt rank,
-    plus a dimension-2 output index at each of ``open_sites``, in the
-    index order ``contract_time`` gives a site tensor.  They go through the
-    same shape walk a :class:`PlanExecutor` runs on its network, so for a
+    Site shapes come from :func:`site_shapes`, the shapes ``contract_time``
+    gives this depth, gate and ``open_sites``.  They go through the same
+    shape walk a :class:`PlanExecutor` runs on its network, so for a
     network of this circuit, open sites and ``itemsize`` the two agree
     exactly: ``total_flops`` is what the executor counts over every path,
     and ``peak_bytes`` is its ``peak_bytes``.
     """
-    t = DepthSpec.parse(depth).t
-    rank = SCHMIDT_RANK[two_qubit_gate]
-    bond_dims = {bond: rank ** k for bond, k in edge_activations(lattice, t).items()
-                 if k > 0}
-    shapes: dict[int, dict[str, int]] = {site: {} for site in range(lattice.n)}
-    for (a, b), dim in bond_dims.items():
-        shapes[a][edge_label(a, b)] = shapes[b][edge_label(a, b)] = dim
-    for site in open_sites:
-        shapes[site][out_label(site)] = 2
-    shapes = {s: {l: d[l] for l in site_label_order(d)} for s, d in shapes.items()}
+    shapes, bond_dims = site_shapes(lattice, DepthSpec.parse(depth).t,
+                                    two_qubit_gate, open_sites)
     return _walk(plan, plan.analyze(lattice), shapes, plan.cut_dims(bond_dims),
-                 itemsize)
+                 itemsize)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -714,8 +685,7 @@ def _region_order(lattice: Lattice, sites: Sequence[int]) -> list[int]:
 
 def two_region_plan(lattice: Lattice, region_a: set[int], region_b: set[int],
                     region_c: set[int], cut_bonds: Sequence[tuple[int, int]],
-                    cut_prefix: str = "w", *,
-                    c_early: bool = False) -> ContractionPlan:
+                    *, c_early: bool = False) -> ContractionPlan:
     """Assemble the standard A x B (x C) plan shape used by every builtin:
     cut-free region cores contract once and each loop folds in the sites
     the newly-opened cut slices.
@@ -728,7 +698,7 @@ def two_region_plan(lattice: Lattice, region_a: set[int], region_b: set[int],
     cut waist and its bonds to C, but with C's outputs open every path
     carries them.
     """
-    cuts = tuple(CutSpec(f"{cut_prefix}{i}", (tuple(sorted(b)),))
+    cuts = tuple(CutSpec(f"w{i}", (tuple(sorted(b)),))
                  for i, b in enumerate(cut_bonds))
     regions = {"A": set(region_a), "B": set(region_b), "C": set(region_c)}
     # A sliced site joins its region only once every cut touching it is open.
@@ -843,34 +813,33 @@ def _waist(row: int, cols: Sequence[int]) -> tuple:
 
 #: The hand-tuned Bristlecone plans, by lattice kind, on sites (row, col):
 #: who is in region A, who is in the batch region C (C wins where both
-#: hold; B is the rest), the cut bonds, and sites left out of every region
-#: (bristlecone-72's two degree-1 corners, which ``contract_time`` folds
-#: into their neighbours).  Each C carries no cut and sits far from the
-#: cut waist.
+#: hold; B is the rest) and the cut bonds.  Sites ``contract_time`` folds
+#: into a neighbour are in no region.  Each C carries no cut and sits far
+#: from the cut waist.
 _BRISTLECONE = {
     # A | B along the r - c diagonals; a single waist cut.
     "bristlecone-24": (lambda r, c: r < c, lambda r, c: r - c >= 4,
-                       (((2, 3), (3, 3)),), ()),
+                       (((2, 3), (3, 3)),)),
     "bristlecone-48": (lambda r, c: r < 5, lambda r, c: c <= 2,
-                       _waist(5, (6, 7)), ()),
+                       _waist(5, (6, 7))),
     "bristlecone-60": (lambda r, c: r < 5,
                        lambda r, c: c == 7 or (c >= 8 and 4 <= r <= 5),
-                       _waist(5, (0, 1, 2)), ()),
+                       _waist(5, (0, 1, 2))),
     "bristlecone-64": (lambda r, c: r < 6, lambda r, c: c <= 1,
-                       _waist(6, (6, 7)), ()),
+                       _waist(6, (6, 7))),
     "bristlecone-70": (lambda r, c: r < 5, lambda r, c: c <= 2,
-                       _waist(5, (7, 8, 9, 10)), ()),
+                       _waist(5, (7, 8, 9, 10))),
     "bristlecone-72": (lambda r, c: r < 6, lambda r, c: c <= 2,
-                       _waist(6, (7, 8, 9, 10)), ((0, 5), (11, 5))),
+                       _waist(6, (7, 8, 9, 10))),
 }
 
 
 def _bristlecone_regions(lattice: Lattice):
     """Regions A, B, C and cut bonds of a Bristlecone lattice's plan."""
-    in_a, in_c, cut_coords, left_out = _BRISTLECONE[lattice.kind]
+    in_a, in_c, cut_coords = _BRISTLECONE[lattice.kind]
     regions = {"A": set(), "B": set(), "C": set()}
     for rc in lattice.sites:
-        if rc not in left_out:
+        if rc not in FOLDED_CORNERS.get(lattice.kind, ()):
             name = "C" if in_c(*rc) else "A" if in_a(*rc) else "B"
             regions[name].add(lattice.site_id(rc))
     cut_bonds = [tuple(lattice.site_id(rc) for rc in bond) for bond in cut_coords]

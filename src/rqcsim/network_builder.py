@@ -25,7 +25,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .circuits import Circuit
+from .circuits import SCHMIDT_RANK, Circuit, Lattice, edge_activations
 from .tensor_core import Tensor, contract
 
 # Gate matrices, U[out, in].  (The reference simulator keeps its own copies;
@@ -114,6 +114,45 @@ def site_label_order(labels: Iterable[str]) -> tuple[str, ...]:
     qubit."""
     return tuple(sorted(labels, key=lambda l: (1, int(l[3:]))
                         if l.startswith("out") else (0, l)))
+
+
+#: Sites (row, col) that :func:`contract_time` folds into their only
+#: neighbour, by lattice kind: bristlecone-72's two degree-1 corners, which
+#: leaves the 70-site frame the contraction plans use.
+FOLDED_CORNERS = {"bristlecone-72": ((0, 5), (11, 5))}
+
+
+def _corner_folds(lattice: Lattice) -> list[tuple[int, int]]:
+    """(corner, neighbour) site ids of ``lattice``'s folded corners."""
+    corners = [lattice.site_id(rc) for rc in FOLDED_CORNERS.get(lattice.kind, ())]
+    return [(c, lattice.neighbors(c)[0]) for c in corners]
+
+
+def _bond_dims(lattice: Lattice, dims: dict[int, dict[str, int]]):
+    """Dimension of every lattice bond still carried by a site tensor."""
+    return {(a, b): dims[a][edge_label(a, b)] for a, b in lattice.edges()
+            if edge_label(a, b) in dims.get(a, ())}
+
+
+def site_shapes(lattice: Lattice, t: int, two_qubit_gate: str = "cz",
+                open_sites: Iterable[int] = ()):
+    """Site shapes (site -> label -> dim, in index order) and bond
+    dimensions of the network :func:`contract_time` gives a ``t``-cycle
+    circuit with ``open_sites`` left open, without building it: each gate
+    on a bond multiplies its dimension by ``two_qubit_gate``'s Schmidt
+    rank, and an open site adds a dimension-2 output index."""
+    rank = SCHMIDT_RANK[two_qubit_gate]
+    shapes: dict[int, dict[str, int]] = {site: {} for site in range(lattice.n)}
+    for (a, b), k in edge_activations(lattice, t).items():
+        if k > 0:
+            shapes[a][edge_label(a, b)] = shapes[b][edge_label(a, b)] = rank ** k
+    for site in open_sites:
+        shapes[site][out_label(site)] = 2
+    for corner, nbr in _corner_folds(lattice):
+        shapes[nbr].update(shapes.pop(corner))
+        shapes[nbr].pop(edge_label(corner, nbr), None)
+    shapes = {s: {l: d[l] for l in site_label_order(d)} for s, d in shapes.items()}
+    return shapes, _bond_dims(lattice, shapes)
 
 
 @dataclass
@@ -222,12 +261,11 @@ def build_3d(circuit: Circuit, in_bits=0, out_bits=None,
     return Net3D(circuit, blocks, nw, in_s, out_s, opens, np.dtype(dtype))
 
 
-def contract_time(net: Net3D, fold_corners: bool = True) -> Net2D:
+def contract_time(net: Net3D) -> Net2D:
     """Collapse window blocks along time and merge per-edge window bonds.
 
-    On the full 72-site bristlecone lattice the two degree-1 corner sites
-    are folded into their only neighbors, reducing the grid to the 70-site
-    frame the contraction plans use.
+    The sites of :data:`FOLDED_CORNERS` are folded into their only
+    neighbours.
 
     Each site's window bonds are grouped by edge, windows in numeric order
     (the first window is the merged index's most significant digit), and
@@ -243,11 +281,8 @@ def contract_time(net: Net3D, fold_corners: bool = True) -> Net2D:
             cur = contract(cur, blk)
         tensors[q] = cur
 
-    if fold_corners and lattice.kind == "bristlecone-72":
-        for rc in ((0, 5), (11, 5)):
-            corner = lattice.site_id(rc)
-            nbr = lattice.neighbors(corner)[0]
-            tensors[nbr] = contract(tensors.pop(corner), tensors[nbr])
+    for corner, nbr in _corner_folds(lattice):
+        tensors[nbr] = contract(tensors.pop(corner), tensors[nbr])
 
     for site, t in tensors.items():
         groups: dict[str, list[tuple[int, str]]] = {}  # site label -> members
@@ -263,9 +298,8 @@ def contract_time(net: Net3D, fold_corners: bool = True) -> Net2D:
         shape = [math.prod(map(flat.dim_of, m)) for m in members]
         tensors[site] = Tensor(order, flat.array.reshape(shape))
 
-    bond_dim = {(a, b): tensors[a].dim_of(edge_label(a, b))
-                for a, b in lattice.edges()
-                if a in tensors and edge_label(a, b) in tensors[a].labels}
+    bond_dim = _bond_dims(lattice, {s: dict(zip(t.labels, t.dims))
+                                    for s, t in tensors.items()})
     return Net2D(circuit, tensors, bond_dim, net.in_bits, net.out_bits,
                  net.open_sites)
 

@@ -78,8 +78,6 @@ class PermutePlan:
     dims: tuple[int, ...]
     perm: tuple[int, ...]
     moves: tuple[Move, ...]
-    mu: int
-    nu: int
     fallback: Optional[str] = None  # set when no valid move decomposition exists
 
     @property
@@ -128,7 +126,7 @@ def plan_permutation(dims: Sequence[int], perm: Sequence[int],
 
     ident = tuple(range(k))
     if perm == ident:
-        return PermutePlan(dims, perm, (), mu, nu)
+        return PermutePlan(dims, perm, ())
 
     # fixed suffix -> single L move
     g_fix = 0
@@ -136,7 +134,7 @@ def plan_permutation(dims: Sequence[int], perm: Sequence[int],
         g_fix += 1
     if g_fix >= 1 and suffix_size(ident, g_fix) >= min_block:
         mv = Move("L", perm[:k - g_fix], g_fix)
-        return PermutePlan(dims, perm, (mv,), mu, nu)
+        return PermutePlan(dims, perm, (mv,))
 
     # fixed prefix -> single R move
     g_pre = 0
@@ -144,7 +142,7 @@ def plan_permutation(dims: Sequence[int], perm: Sequence[int],
         g_pre += 1
     if suffix_size(ident, k - g_pre) <= max_window:
         mv = Move("R", tuple(p - g_pre for p in perm[g_pre:]), k - g_pre)
-        return PermutePlan(dims, perm, (mv,), mu, nu)
+        return PermutePlan(dims, perm, (mv,))
 
     # prefix block maps to itself -> one L on the block, one R on the rest
     best_split = None
@@ -163,7 +161,7 @@ def plan_permutation(dims: Sequence[int], perm: Sequence[int],
         tail = tuple(p - b for p in perm[b:])
         if not _is_identity(tail):
             moves.append(Move("R", tail, k - b))
-        return PermutePlan(dims, perm, tuple(moves), mu, nu)
+        return PermutePlan(dims, perm, tuple(moves))
 
     # general three-move template: L brings the strays next to the window,
     # R settles the final suffix, L fixes the prefix.
@@ -171,7 +169,7 @@ def plan_permutation(dims: Sequence[int], perm: Sequence[int],
     if plan is not None:
         return plan
 
-    return PermutePlan(dims, perm, (), mu, nu, fallback="naive")
+    return PermutePlan(dims, perm, (), fallback="naive")
 
 
 def _plan_three_moves(dims, perm, mu, nu) -> Optional[PermutePlan]:
@@ -226,7 +224,7 @@ def _plan_three_moves(dims, perm, mu, nu) -> Optional[PermutePlan]:
         moves.append(Move("L", l2_local, gamma_l))
 
     assert first_target + layout2[k - gamma_l:] == list(perm)
-    return PermutePlan(dims, perm, tuple(moves), mu, nu)
+    return PermutePlan(dims, perm, tuple(moves))
 
 
 # ---------------------------------------------------------------------------

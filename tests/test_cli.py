@@ -271,14 +271,14 @@ class TestMemoryBudget:
         assert code == 0, err
         assert json.loads(out.splitlines()[1])["paths"] == 8 ** 3
 
-    def test_bristlecone_keeps_the_cheaper_placement_that_fits(self, capsys):
-        """bristlecone-72 1+8+1 prices C early at fewer flops but a larger
-        peak (1,735,616 against 1,704,896 bytes), so a budget between the
-        two keeps C last and the amplitude is unchanged."""
-        argv = ("amplitude", "--lattice", "bristlecone-72", "--depth", "1+8+1",
-                "--out", "0" * 72)
+    def test_budget_keeps_the_cheaper_placement_that_fits(self, capsys):
+        """grid:3x4 1+16+1 prices C early at fewer flops but a larger peak
+        (32,264 against 31,112 bytes), so a budget between the two keeps C
+        last and the amplitude is unchanged."""
+        argv = ("amplitude", "--lattice", "grid:3x4", "--depth", "1+16+1",
+                "--out", "0" * 12)
         runs = {}
-        for budget in ((), ("--memory-budget", "1720000")):
+        for budget in ((), ("--memory-budget", "32000")):
             code, out, err = run(capsys, *argv, *budget)
             assert code == 0, err
             cfg, rec = (json.loads(line) for line in out.splitlines())
@@ -286,7 +286,7 @@ class TestMemoryBudget:
         (free, amp_free), (capped, amp_capped) = runs.values()
         assert (free["c_joins"], capped["c_joins"]) == ("B0C", "result")
         assert free["plan_flops"] < capped["plan_flops"]
-        assert capped["plan_peak_bytes"] <= 1720000 < free["plan_peak_bytes"]
+        assert capped["plan_peak_bytes"] <= 32000 < free["plan_peak_bytes"]
         assert abs(amp_free - amp_capped) <= 1e-4 * abs(amp_free)
 
     def test_bristlecone_over_budget_in_both_placements_is_2(self, capsys):

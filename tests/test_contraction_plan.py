@@ -368,6 +368,19 @@ class TestCostModel:
         assert est.paths == math.prod(ex.cut_dims) == 256
         assert (est.total_flops, est.peak_bytes) == (ex.flops, ex.peak_bytes)
 
+    def test_bristlecone72_prices_the_folded_network(self):
+        """bristlecone-72 is priced on the 70-site network ``contract_time``
+        folds its corners into, so the estimate is what the executor counts
+        and holds, and C joins last, the cheaper placement on that network."""
+        lat = Lattice.named("bristlecone-72")
+        plan = builtin_plan(lat, "1+8+1")
+        assert plan.c_join_step() == "result"
+        net = contract_time(build_3d(generate_rqc(lat, "1+8+1", seed=0), 0, 0))
+        ex = fresh_run(net, plan)
+        est = estimate_cost(plan, lat, "1+8+1")
+        assert (ex.flops, ex.peak_bytes) == (est.total_flops, est.peak_bytes) \
+            == (23_791_872, 1_638_824)
+
     def test_deeper_circuits_cost_more(self, grid_4x4):
         plan = grid_plan(grid_4x4, n_cuts=2)
         shallow = estimate_cost(plan, grid_4x4, "1+16+1")
@@ -593,6 +606,79 @@ class TestHonestBound:
                                itemsize=16).scratch_bytes
         assert sum(buf.nbytes for buf in kept) > sum(priced)
         assert sum(buf.nbytes for buf in held()) <= sum(priced)
+
+
+class TestSchedule:
+    """One executor reruns, per path, the steps and slices inside the
+    outermost loop whose value changed since the last completed path."""
+
+    @staticmethod
+    def net_and_plan():
+        lat = Lattice.named("grid:4x5")
+        net = contract_time(build_3d(generate_rqc(lat, "1+16+1", seed=3), 0,
+                                     None, dtype=np.complex64))
+        plan = grid_plan(lat, 3)
+        net = net.fix_outputs({q: 1 for q in range(lat.n)
+                               if q not in plan.batch_sites})
+        return net, plan
+
+    def test_any_path_order_matches_a_fresh_executor(self):
+        net, plan = self.net_and_plan()
+        ex = PlanExecutor(net, plan)
+        subset = enumerate_paths(ex.cut_dims, f=0.3, seed=5)
+        shuffled = [subset[i] for i in
+                    np.random.default_rng(1).permutation(len(subset))]
+        for path in subset + shuffled:
+            want = execute_plan(net, plan, path)
+            got = ex.run(path)
+            assert got.labels == want.labels
+            assert np.array_equal(got.array, want.array)
+            flops = ex.flops
+            assert np.array_equal(ex.run(path).array, want.array)
+            assert ex.flops == flops  # a repeated path evaluates nothing
+
+    def test_failed_run_leaves_no_stale_value(self, monkeypatch):
+        """A contraction that raises midway through a path leaves some
+        values updated for that path; none of them is taken as current."""
+        net, plan = self.net_and_plan()
+        ex = PlanExecutor(net, plan)
+        ex.run((0, 0, 0))
+        contract, calls = contraction_plan.contract, []
+
+        def failing(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise MemoryError("injected")
+            return contract(*args, **kwargs)
+
+        monkeypatch.setattr(contraction_plan, "contract", failing)
+        with pytest.raises(MemoryError):
+            ex.run((1, 0, 0))
+        monkeypatch.setattr(contraction_plan, "contract", contract)
+        for path in ((0, 1, 0), (1, 0, 0), (0, 0, 0)):
+            assert np.array_equal(ex.run(path).array,
+                                  execute_plan(net, plan, path).array)
+
+    def test_a_step_inside_a_loop_it_skips_reruns_as_priced(self, grid_2x2):
+        """``Y`` depends only on cut ``b``, pinned to one value, yet sits
+        inside loop ``a``: it reruns whenever ``a`` ticks, as the walk
+        prices it."""
+        plan = parse_plan("""plan grid:2x2
+            cut a 0:1
+            cut b 2:3 values=0
+            loop a
+            contract t0 t1 -> X
+            loop b
+            contract t2 t3 -> Y
+            contract X Y -> out
+            output out
+        """)
+        circ = generate_rqc(grid_2x2, "1+8+1", seed=0)
+        net = contract_time(build_3d(circ, 0, 0))
+        ex = fresh_run(net, plan)
+        assert ex.cut_dims == (2, 1)
+        assert ex.flops == estimate_cost(plan, grid_2x2, "1+8+1").total_flops \
+            == 192
 
 
 class TestPlanValidation:

@@ -15,6 +15,7 @@ from rqcsim.network_builder import (
     gate_tensor,
     out_label,
     site_label_order,
+    site_shapes,
     window_bond,
 )
 from rqcsim.tensor_core import contract
@@ -176,6 +177,30 @@ class TestSiteLayout:
         expect = {e: rank ** k for e, k in edge_activations(lat, circ.depth.t).items()
                   if k and all(s in net.tensors for s in e)}
         assert net.bond_dim == expect
+
+    @pytest.mark.parametrize("lattice,depth,gate", [
+        ("grid:3x3", "1+16+1", "cz"),
+        ("bristlecone-72", "1+8+1", "cz"),
+        ("grid:3x4", "1+16+1", "iswap"),
+        ("grid:1x2", "1+88+1", "cz"),
+    ])
+    @pytest.mark.parametrize("opened", ["all", "none", "corners"])
+    def test_priced_shapes_are_the_built_ones(self, lattice, depth, gate, opened):
+        """``site_shapes`` gives each site tensor's labels and dims in index
+        order, and the bond dimensions, exactly as ``contract_time`` builds
+        them, folded bristlecone-72 corners and their outputs included."""
+        lat = Lattice.named(lattice)
+        circ = generate_rqc(lat, depth, seed=0, two_qubit_gate=gate)
+        open_sites = {"all": range(lat.n), "none": (),
+                      "corners": (0, lat.n - 1, lat.site_id((0, 5)) if
+                                  lattice == "bristlecone-72" else 1)}[opened]
+        net = contract_time(build_3d(circ, 0, 0, open_sites=open_sites))
+        shapes, bond_dims = site_shapes(lat, circ.depth.t, gate, open_sites)
+        assert shapes == {s: dict(zip(t.labels, t.dims))
+                          for s, t in net.tensors.items()}
+        assert {s: tuple(d) for s, d in shapes.items()} == \
+            {s: t.labels for s, t in net.tensors.items()}
+        assert bond_dims == net.bond_dim
 
     def test_windows_merge_in_numeric_order(self):
         """The first window is the most significant digit of the merged
