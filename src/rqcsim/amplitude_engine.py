@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import time
 from dataclasses import dataclass
 from typing import IO, Iterable, Optional, Sequence, Union
 
@@ -58,6 +59,7 @@ class PathStats:
     paths_used: int
     flops: int
     peak_bytes: int  # the executor's bound on its live set
+    seconds: float   # wall time of the amplitude (or batch) call
 
 
 @dataclass(frozen=True)
@@ -116,6 +118,7 @@ class AmplitudeEngine:
     def amplitude(self, in_bits: Union[str, int], out_bits: Union[str, int],
                   fidelity: FidelitySpec = FidelitySpec()) -> tuple[complex, PathStats]:
         """One amplitude <out|U|in>, summed over the selected paths."""
+        start = time.perf_counter()
         n = self.circuit.n
         out = as_bits(out_bits, n)
         net = self.base_net(in_bits).fix_outputs(
@@ -124,7 +127,7 @@ class AmplitudeEngine:
         paths = fidelity.paths_for(ex.cut_dims)
         total = sum(ex.run(p).scalar() for p in paths)
         stats = PathStats(math.prod(ex.cut_dims), len(paths), ex.flops,
-                          ex.peak_bytes)
+                          ex.peak_bytes, time.perf_counter() - start)
         return total, stats
 
     def amplitude_batch(self, in_bits: Union[str, int], s_ab: Union[str, int],
@@ -137,6 +140,7 @@ class AmplitudeEngine:
         a seeded draw without replacement from the 2^|C| assignments, so a
         batch is n_c candidate bit-strings sharing one contraction.
         """
+        start = time.perf_counter()
         n = self.circuit.n
         c_sites = tuple(sorted(c_sites))
         if not c_sites:
@@ -162,7 +166,7 @@ class AmplitudeEngine:
                                         replace=False))
         amps = total.reshape(-1)[values]
         stats = PathStats(math.prod(ex.cut_dims), len(paths), ex.flops,
-                          ex.peak_bytes)
+                          ex.peak_bytes, time.perf_counter() - start)
         return AmplitudeBatch(as_bits(in_bits, n), s_ab, c_sites,
                               tuple(int(v) for v in values), amps,
                               fidelity, stats)
@@ -215,8 +219,8 @@ def amplitude_record(in_bits: str, out_bits: str, amplitude: complex,
                      fidelity: FidelitySpec, stats: PathStats) -> dict:
     """One JSON-ready record; ``f_achieved_estimate`` is N * |a|^2, whose
     mean over many random bit-strings estimates the achieved fidelity, and
-    ``flops`` and ``peak_bytes`` are those of the contraction that gave
-    the amplitude (for a batch entry, of the whole batch)."""
+    ``flops``, ``peak_bytes`` and ``seconds`` are those of the call that
+    gave the amplitude (for a batch entry, of the whole batch)."""
     a = complex(amplitude)
     return {
         "in": in_bits,
@@ -229,6 +233,7 @@ def amplitude_record(in_bits: str, out_bits: str, amplitude: complex,
         "seed": fidelity.seed,
         "flops": stats.flops,
         "peak_bytes": stats.peak_bytes,
+        "seconds": stats.seconds,
     }
 
 

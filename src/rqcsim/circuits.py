@@ -464,6 +464,8 @@ def parse_circuit(text: str, lattice: Optional[Lattice] = None) -> Circuit:
             raise CircuitFormatError(f"unknown gate {parts[1]!r}", lineno)
         if cycle < 0:
             raise CircuitFormatError("negative cycle", lineno)
+        if len(qubits) != (2 if name in TWO_QUBIT_GATES else 1):
+            raise CircuitFormatError(f"wrong qubit count for {name}", lineno)
         for q in qubits:
             if not 0 <= q < n:
                 raise CircuitFormatError(f"qubit {q} outside 0..{n - 1}", lineno)
@@ -472,7 +474,7 @@ def parse_circuit(text: str, lattice: Optional[Lattice] = None) -> Circuit:
 
     if lattice is None:
         if "lattice" in meta:
-            lattice = Lattice.named(meta["lattice"])
+            lattice = _from_meta(Lattice.named, meta, "lattice")
         else:
             lattice = _infer_rectangle(n)
     if lattice.n != n:
@@ -480,7 +482,7 @@ def parse_circuit(text: str, lattice: Optional[Lattice] = None) -> Circuit:
             f"qubit count {n} does not match lattice {lattice.kind} ({lattice.n} sites)")
 
     if "depth" in meta:
-        depth = DepthSpec.parse(meta["depth"])
+        depth = _from_meta(DepthSpec.parse, meta, "depth")
     else:
         depth = DepthSpec(max(0, max_cycle - 1))
 
@@ -497,6 +499,14 @@ def parse_circuit(text: str, lattice: Optional[Lattice] = None) -> Circuit:
         gates.append(Gate(cycle, name, qubits))
 
     return Circuit(lattice, depth, gates, meta=meta)
+
+
+def _from_meta(parse, meta: dict[str, str], key: str):
+    """``parse`` of the ``# key:`` header, its errors as format errors."""
+    try:
+        return parse(meta[key])
+    except ValueError as e:
+        raise CircuitFormatError(f"bad {key} header: {e}") from None
 
 
 def _infer_rectangle(n: int) -> Lattice:

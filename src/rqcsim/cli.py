@@ -23,6 +23,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from contextlib import contextmanager
 from typing import Optional
 
@@ -409,15 +410,17 @@ def _cmd_sample(args) -> int:
                                seed=args.seed, fidelity=_fidelity(args))
     except ValueError as e:
         raise UsageError(str(e))
+    start = time.perf_counter()
     run = sample_circuit(engine, c_sites, config, in_bits=in_bits,
                          max_batches=args.max_batches)
+    seconds = time.perf_counter() - start
     cfg = _config_echo(args, "sample", c_sites=list(c_sites), n_c=n_c,
                        planned_batches=required_batches(args.m, n_c,
                                                         args.target),
                        **plan_echo)
     with _open_out(args) as fh:
         fh.write(f"# config: {json.dumps(cfg)}\n")
-        write_samples(fh, run)
+        write_samples(fh, run, batches_per_s=run.batches_used / seconds)
     return 0
 
 

@@ -36,8 +36,8 @@ a plan accepted under a memory budget also runs under it.
 
 ``builtin_plan`` builds every lattice's plan from three regions and a set
 of cut bonds: a balanced split across the waist of any rectangle, and for
-each Bristlecone lattice the hand-tuned regions listed here.  The batch
-region C joins in one of two places: last, after the A x B join, or
+each Bristlecone lattice the regions priced offline and listed here.  The
+batch region C joins in one of two places: last, after the A x B join, or
 early, its core contracted into B's before the loops.  Given the run's
 depth, open sites, precision and two-qubit gate, ``builtin_plan`` prices
 both and keeps the one with fewer flops (C last on a tie).
@@ -188,6 +188,10 @@ def _analyze(plan: ContractionPlan, lattice: Lattice) -> PlanAnalysis:
     seen_bonds = set()
     for i, cut in enumerate(plan.cuts):
         for a, b in cut.bonds:
+            absent = [s for s in (a, b) if not 0 <= s < lattice.n]
+            if absent:
+                raise PlanError(f"cut {cut.name!r}: {a}:{b} is not a lattice "
+                                f"bond ({lattice.kind} has no site {absent[0]})")
             if not lattice.adjacent(a, b):
                 raise PlanError(f"cut {cut.name!r}: {a}:{b} is not a lattice bond")
             if (a, b) in seen_bonds:
@@ -224,7 +228,8 @@ def _analyze(plan: ContractionPlan, lattice: Lattice) -> PlanAnalysis:
                 if m:
                     site = int(m.group(1))
                     if not 0 <= site < lattice.n:
-                        raise PlanError(f"step {step.name!r}: no site {site}")
+                        raise PlanError(f"step {step.name!r}: {lattice.kind} "
+                                        f"has no site {site}")
                     if site in consumed_sites:
                         raise PlanError(f"site tensor t{site} consumed twice")
                     consumed_sites.add(site)
@@ -811,26 +816,26 @@ def _waist(row: int, cols: Sequence[int]) -> tuple:
     return tuple(((row - 1, c), (row, c)) for c in cols)
 
 
-#: The hand-tuned Bristlecone plans, by lattice kind, on sites (row, col):
-#: who is in region A, who is in the batch region C (C wins where both
-#: hold; B is the rest) and the cut bonds.  Sites ``contract_time`` folds
-#: into a neighbour are in no region.  Each C carries no cut and sits far
-#: from the cut waist.
+#: The Bristlecone plans, by lattice kind, on sites (row, col): who is in
+#: region A, who is in the batch region C (C wins where both hold; B is the
+#: rest) and the cut A|B bonds; sites ``contract_time`` folds are in no
+#: region.  Each row is the A = {f < k} or {f > k}, f one of r, c, r +- c,
+#: and cut set pricing fewest closed flops at 1+32+1 (searched offline).
 _BRISTLECONE = {
-    # A | B along the r - c diagonals; a single waist cut.
-    "bristlecone-24": (lambda r, c: r < c, lambda r, c: r - c >= 4,
-                       (((2, 3), (3, 3)),)),
-    "bristlecone-48": (lambda r, c: r < 5, lambda r, c: c <= 2,
-                       _waist(5, (6, 7))),
-    "bristlecone-60": (lambda r, c: r < 5,
+    "bristlecone-24": (lambda r, c: r - c < 3, lambda r, c: r - c >= 4,
+                       (((5, 2), (5, 3)),)),
+    "bristlecone-48": (lambda r, c: r > 7, lambda r, c: c <= 2,
+                       _waist(8, (3, 4))),
+    "bristlecone-60": (lambda r, c: r < 6,
                        lambda r, c: c == 7 or (c >= 8 and 4 <= r <= 5),
-                       _waist(5, (0, 1, 2))),
-    "bristlecone-64": (lambda r, c: r < 6, lambda r, c: c <= 1,
-                       _waist(6, (6, 7))),
-    "bristlecone-70": (lambda r, c: r < 5, lambda r, c: c <= 2,
-                       _waist(5, (7, 8, 9, 10))),
-    "bristlecone-72": (lambda r, c: r < 6, lambda r, c: c <= 2,
-                       _waist(6, (7, 8, 9, 10))),
+                       _waist(6, (4, 5, 6))),
+    "bristlecone-64": (lambda r, c: r - c > 4, lambda r, c: c <= 1,
+                       (((7, 2), (7, 3)), ((7, 3), (8, 3)))),
+    "bristlecone-70": (lambda r, c: r + c > 7, lambda r, c: c <= 2,
+                       (((3, 4), (3, 5)), ((3, 4), (4, 4)),
+                        ((4, 3), (4, 4)), ((4, 3), (5, 3)))),
+    "bristlecone-72": (lambda r, c: c > 3, lambda r, c: c <= 2,
+                       tuple(((r, 3), (r, 4)) for r in range(5, 9))),
 }
 
 
@@ -863,7 +868,7 @@ def builtin_plan(lattice: Lattice, depth=None,
                  two_qubit_gate: str = "cz") -> ContractionPlan:
     """The builtin plan for this lattice, built from its regions.
 
-    Bristlecone lattices use their hand-tuned regions and cuts; rectangles
+    Bristlecone lattices use their tabled regions and cuts; rectangles
     get a balanced split.  Without ``depth`` the plan has C joining last.
     Given ``depth``, the plan is built with C joining last and with C
     joining early (see :func:`two_region_plan`), each priced by

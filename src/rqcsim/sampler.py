@@ -220,8 +220,9 @@ def sample_circuit(engine: AmplitudeEngine, c_sites: Sequence[int],
                          max_batches=max_batches)
 
 
-def write_samples(fh: IO[str], run: SampleRun):
-    """One accepted bit-string per line, then a one-line JSON footer."""
+def write_samples(fh: IO[str], run: SampleRun, **extra):
+    """One accepted bit-string per line, then a one-line JSON footer:
+    ``run.footer()`` plus the ``extra`` entries."""
     for s in run.samples:
         fh.write(f"{s}\n")
-    fh.write(json.dumps(run.footer()) + "\n")
+    fh.write(json.dumps({**run.footer(), **extra}) + "\n")

@@ -17,7 +17,9 @@ shorter.  The gather maps are exponentially smaller than the tensor
 (2^(k-gamma) or 2^gamma entries instead of 2^k), so they are memoized.
 On the numpy kernel backend each move is a full ``np.take`` pass, so a
 plan of two or more moves runs as one strided ``np.transpose`` copy
-instead (byte-identical, one pass); single moves keep the move kernel.
+instead (byte-identical, one pass); so does a single L move, its
+untouched trailing blocks viewed as opaque items.  Single R moves keep
+the move kernel.
 
 Pairwise contraction is transpose-transpose-GEMM, minus the copy of the
 larger operand wherever its layout allows.  When the shared labels form one
@@ -316,10 +318,11 @@ def permute_fast(array: np.ndarray, plan: PermutePlan, thread_count: int = 1,
 
     With no data movement needed the input is returned as-is.  A plan
     without a move decomposition, and on the numpy backend a plan of two
-    or more moves, runs as one strided transpose; on numba any number of
-    moves ping-pongs between two buffers.  When a workspace is supplied
-    the result aliases one of its buffers and is only valid until the
-    next call that reuses it; otherwise it is a fresh array.
+    or more moves or a single L move, runs as one strided transpose; on
+    numba any number of moves ping-pongs between two buffers.  When a
+    workspace is supplied the result aliases one of its buffers and is
+    only valid until the next call that reuses it; otherwise it is a fresh
+    array.
     """
     a = np.ascontiguousarray(array).reshape(plan.dims)
     slots = workspace_slots(plan)
@@ -340,10 +343,18 @@ def permute_fast(array: np.ndarray, plan: PermutePlan, thread_count: int = 1,
         if mv.kind == "L":
             g = k - mv.gamma
             group_dims = tuple(cur_dims[:g])
-            row_map = _gather_map(group_dims, mv.group_perm)
             d_gamma = math.prod(cur_dims[g:])
-            _kernels.l_move(cur, dst, row_map, d_gamma, thread_count)
             cur_dims[:g] = [group_dims[p] for p in mv.group_perm]
+            if _kernels.get_backend() == "numpy":
+                # Each untouched trailing block is one opaque item, so the
+                # move is one strided transpose of whole blocks.
+                block = np.dtype((np.void, d_gamma * cur.itemsize))
+                np.copyto(dst.view(block).reshape(cur_dims[:g]),
+                          cur.view(block).reshape(group_dims)
+                          .transpose(mv.group_perm))
+            else:
+                row_map = _gather_map(group_dims, mv.group_perm)
+                _kernels.l_move(cur, dst, row_map, d_gamma, thread_count)
         else:
             g = k - mv.gamma
             group_dims = tuple(cur_dims[g:])

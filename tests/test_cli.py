@@ -67,6 +67,7 @@ class TestAmplitude:
         assert "config" in head
         assert rec["in"] == "0" * 12
         assert isinstance(rec["re"], float) and isinstance(rec["im"], float)
+        assert rec["seconds"] > 0
 
     def test_config_echoes_backend_and_effective_threads(self, circuit_file,
                                                           capsys):
@@ -91,6 +92,9 @@ class TestAmplitude:
         assert code == 0
         recs = [json.loads(l) for l in out.splitlines() if l.startswith("{")]
         assert len(recs) == 1 + 16  # config header + entries
+        # every entry carries the wall time of the whole batch
+        assert len({rec["seconds"] for rec in recs[1:]}) == 1
+        assert recs[1]["seconds"] > 0
 
     def test_oracle_mode_matches_engine(self, circuit_file, capsys):
         _, eng_out, _ = run(
@@ -120,15 +124,17 @@ class TestSample:
             )
             capsys.readouterr()
             assert code == 0
-            outs.append(p.read_text())
-        assert outs[0] == outs[1]
-        lines = outs[0].splitlines()
+            outs.append(p.read_text().splitlines())
+        # everything but the footer's wall-time rate is reproducible
+        footers = [json.loads(lines.pop()) for lines in outs]
+        assert all(f.pop("batches_per_s") > 0 for f in footers)
+        assert outs[0] == outs[1] and footers[0] == footers[1]
+        lines = outs[0]
         assert lines[0].startswith("# config:")
         bitstrings = [l for l in lines if not l.startswith(("#", "{"))]
         assert len(bitstrings) == 20
         assert all(len(b) == 12 for b in bitstrings)
-        footer = json.loads([l for l in lines if l.startswith("{")][-1])
-        assert footer["N_C"] == 16
+        assert footers[0]["N_C"] == 16
 
 
 class TestVerify:
@@ -292,10 +298,10 @@ class TestMemoryBudget:
     def test_bristlecone_over_budget_in_both_placements_is_2(self, capsys):
         code, out, err = run(
             capsys, "amplitude", "--lattice", "bristlecone-24", "--depth",
-            "1+16+1", "--out", "0" * 24, "--memory-budget", "100K",
+            "1+16+1", "--out", "0" * 24, "--memory-budget", "10K",
         )
         assert code == 2 and not out
-        assert "plan for bristlecone-24 needs ~135464 bytes" in err
+        assert "plan for bristlecone-24 needs ~10664 bytes" in err
 
 
 class TestPlanChoice:

@@ -262,23 +262,23 @@ class TestPlacement:
     # kind -> cut bonds, batch sites, leading hex digits of the sha256 of
     # the plan's text
     BRISTLECONE = {
-        "bristlecone-24": ([((4, 9),)], (16, 17, 20, 21, 22, 23),
-                           "5c6bb820cad12dee"),
-        "bristlecone-48": ([((21, 30),), ((22, 31),)],
+        "bristlecone-24": ([((18, 19),)], (16, 17, 20, 21, 22, 23),
+                           "83dd300d4398f71a"),
+        "bristlecone-48": ([((41, 45),), ((42, 46),)],
                            (9, 16, 17, 24, 25, 26, 32, 33, 34, 39, 40, 44),
-                           "1d6fd2d480b0a096"),
-        "bristlecone-60": ([((20, 30),), ((21, 31),), ((22, 32),)],
+                           "008522e84949164e"),
+        "bristlecone-60": ([((34, 43),), ((35, 44),), ((36, 45),)],
                            (12, 19, 27, 28, 29, 37, 38, 39, 46, 52),
-                           "46902e1b2b0a2961"),
-        "bristlecone-64": ([((30, 38),), ((31, 39),)],
+                           "150ff4df4948033c"),
+        "bristlecone-64": ([((42, 43),), ((43, 50),)],
                            (9, 16, 17, 24, 25, 32, 33, 40, 41, 48),
-                           "07dfc246bfe6eb0b"),
-        "bristlecone-70": ([((31, 42),), ((32, 43),), ((33, 44),), ((34, 45),)],
+                           "416792134ab4e7ff"),
+        "bristlecone-70": ([((18, 19),), ((18, 28),), ((27, 28),), ((27, 38),)],
                            (8, 15, 16, 24, 25, 26, 35, 36, 37, 46, 47, 55),
-                           "683f5be41e12d74c"),
-        "bristlecone-72": ([((32, 43),), ((33, 44),), ((34, 45),), ((35, 46),)],
+                           "dff11ab82d80fdf1"),
+        "bristlecone-72": ([((28, 29),), ((39, 40),), ((49, 50),), ((57, 58),)],
                            (9, 16, 17, 25, 26, 27, 36, 37, 38, 47, 48, 56),
-                           "3c01120a545c1f1e"),
+                           "72d1a63fbe7f5161"),
     }
 
     @pytest.mark.parametrize("kind", sorted(BRISTLECONE))
@@ -296,7 +296,7 @@ class TestPlacement:
         lat = Lattice.named("bristlecone-24")
         plan = builtin_plan(lat, "1+32+1", itemsize=8)
         assert plan.c_join_step() == "B0C"
-        assert estimate_cost(plan, lat, "1+32+1").total_flops == 41_133_604_864
+        assert estimate_cost(plan, lat, "1+32+1").total_flops == 207_683_584
         assert (plan.cuts, plan.batch_sites) == \
             (builtin_plan(lat).cuts, builtin_plan(lat).batch_sites)
 
@@ -320,6 +320,65 @@ class TestPlacement:
             plan.program[:first_loop]
         assert plan.program[-1] == ("output", "AB")
         assert parse_plan(format_plan(plan)) == plan
+
+
+class TestBristleconeTable:
+    """Each Bristlecone row prices no more than the hand-tuned row it
+    replaced, closed and with C open, under builtin_plan's placement."""
+
+    # (kind, depth, C open) -> (flops, peak bytes) of builtin_plan on the
+    # hand-tuned rows, CZ, complex64
+    HAND_TUNED = {
+        ("bristlecone-24", "1+16+1", False): (1_057_792, 135_464),
+        ("bristlecone-24", "1+16+1", True): (2_447_360, 207_008),
+        ("bristlecone-24", "1+32+1", False): (41_133_604_864, 537_530_504),
+        ("bristlecone-24", "1+32+1", True): (52_241_235_968, 543_361_664),
+        ("bristlecone-48", "1+16+1", False): (982_767_616, 30_131_752),
+        ("bristlecone-48", "1+16+1", True): (5_370_877_952, 542_320_160),
+        ("bristlecone-48", "1+32+1", False):
+            (12_414_880_415_481_856, 27_524_717_445_256),
+        ("bristlecone-48", "1+32+1", True):
+            (12_814_746_249_592_832, 28_658_312_020_096),
+        ("bristlecone-60", "1+16+1", False): (267_205_335_040, 6_543_446_088),
+        ("bristlecone-60", "1+16+1", True): (269_616_377_856, 6_610_528_320),
+        ("bristlecone-60", "1+32+1", False):
+            (935_753_745_958_761_398_272, 1_729_698_920_823_128_328),
+        ("bristlecone-60", "1+32+1", True):
+            (935_754_312_708_554_489_856, 1_729_699_195_566_301_440),
+        ("bristlecone-64", "1+16+1", False):
+            (1_239_055_620_096, 25_791_235_336),
+        ("bristlecone-64", "1+16+1", True):
+            (1_240_106_866_688, 25_858_188_544),
+        ("bristlecone-64", "1+32+1", False):
+            (19_362_250_067_914_136_223_744, 27_670_134_808_972_955_656),
+        ("bristlecone-64", "1+32+1", True):
+            (19_362_250_127_934_106_370_048, 27_670_135_081_569_169_408),
+        ("bristlecone-70", "1+16+1", False):
+            (5_023_071_326_208, 103_168_805_960),
+        ("bristlecone-70", "1+16+1", True):
+            (5_059_624_112_128, 103_437_110_336),
+        ("bristlecone-70", "1+32+1", False):
+            (311_854_141_727_058_435_244_032, 442_722_158_011_134_181_640),
+        ("bristlecone-70", "1+32+1", True):
+            (311_854_177_857_240_388_599_808, 442_722_159_108_364_140_800),
+        ("bristlecone-72", "1+16+1", False):
+            (5_023_071_326_208, 103_168_805_960),
+        ("bristlecone-72", "1+16+1", True):
+            (5_059_624_112_128, 103_437_110_336),
+        ("bristlecone-72", "1+32+1", False):
+            (311_854_141_727_058_435_244_032, 442_722_158_011_134_181_640),
+        ("bristlecone-72", "1+32+1", True):
+            (311_854_177_857_240_388_599_808, 442_722_159_108_364_140_800),
+    }
+
+    @pytest.mark.parametrize("kind,depth,c_open", sorted(HAND_TUNED))
+    def test_no_worse_than_the_hand_tuned_row(self, kind, depth, c_open):
+        lat = Lattice.named(kind)
+        open_sites = builtin_plan(lat).batch_sites if c_open else ()
+        plan = builtin_plan(lat, depth, open_sites=open_sites)
+        cost = estimate_cost(plan, lat, depth, open_sites=open_sites)
+        flops, peak = self.HAND_TUNED[kind, depth, c_open]
+        assert cost.total_flops <= flops and cost.peak_bytes <= peak
 
 
 class TestCostModel:
@@ -371,15 +430,15 @@ class TestCostModel:
     def test_bristlecone72_prices_the_folded_network(self):
         """bristlecone-72 is priced on the 70-site network ``contract_time``
         folds its corners into, so the estimate is what the executor counts
-        and holds, and C joins last, the cheaper placement on that network."""
+        and holds, and C joins early, the cheaper placement on that network."""
         lat = Lattice.named("bristlecone-72")
         plan = builtin_plan(lat, "1+8+1")
-        assert plan.c_join_step() == "result"
+        assert plan.c_join_step() == "B0C"
         net = contract_time(build_3d(generate_rqc(lat, "1+8+1", seed=0), 0, 0))
         ex = fresh_run(net, plan)
         est = estimate_cost(plan, lat, "1+8+1")
         assert (ex.flops, ex.peak_bytes) == (est.total_flops, est.peak_bytes) \
-            == (23_791_872, 1_638_824)
+            == (1_873_920, 83_720)
 
     def test_deeper_circuits_cost_more(self, grid_4x4):
         plan = grid_plan(grid_4x4, n_cuts=2)
