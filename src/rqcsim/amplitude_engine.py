@@ -4,7 +4,8 @@ The engine owns the expensive artifacts — the all-outputs-open 2D network
 for a circuit and the contraction plan — and answers amplitude queries by
 slicing output indexes and summing the plan's paths.  Keeping every
 output open in the cached network means one network build serves any
-number of queried bit-strings; fixing an output is a cheap slice.
+number of queried bit-strings; fixing an output is a view of the cached,
+read-only site arrays.
 
 Fidelity is traded for cost by keeping only a fraction ``f`` of the
 paths: the resulting state has fidelity f against the exact one, and the
@@ -60,6 +61,7 @@ class PathStats:
     flops: int
     peak_bytes: int  # the executor's bound on its live set
     seconds: float   # wall time of the amplitude (or batch) call
+    steps: tuple = ()  # per plan step, from a tracing engine (PlanExecutor.step_trace)
 
 
 @dataclass(frozen=True)
@@ -87,11 +89,12 @@ class AmplitudeBatch:
 
 
 class AmplitudeEngine:
-    """Computes amplitudes of one circuit via its contraction plan."""
+    """Computes amplitudes of one circuit via its contraction plan.  With
+    ``trace`` every amplitude's and batch's stats carry per-step figures."""
 
     def __init__(self, circuit: Circuit, plan: Optional[ContractionPlan] = None,
                  *, dtype=np.complex64, thread_count: int = 1,
-                 memory_budget: Optional[int] = None):
+                 memory_budget: Optional[int] = None, trace: bool = False):
         self.circuit = circuit
         self.dtype = np.dtype(dtype)
         self.plan = plan if plan is not None else builtin_plan(
@@ -99,21 +102,31 @@ class AmplitudeEngine:
             two_qubit_gate=circuit.two_qubit_gate)
         self.thread_count = thread_count
         self.memory_budget = memory_budget
+        self.trace = trace
         self._nets: dict[str, Net2D] = {}  # in_bits -> all-outputs-open network
 
     def base_net(self, in_bits: Union[str, int] = 0) -> Net2D:
-        """The all-outputs-open network for ``in_bits`` (cached)."""
+        """The all-outputs-open network for ``in_bits`` (cached).  Its site
+        arrays are read-only: fixed outputs and cut slices are views of
+        them, so a write into any operand would corrupt later queries."""
         key = as_bits(in_bits, self.circuit.n)
         net = self._nets.get(key)
         if net is None:
             net = contract_time(build_3d(self.circuit, in_bits=key,
                                          out_bits=None, dtype=self.dtype))
+            for t in net.tensors.values():
+                t.array.flags.writeable = False
             self._nets[key] = net
         return net
 
     def _executor(self, net: Net2D) -> PlanExecutor:
         return PlanExecutor(net, self.plan, thread_count=self.thread_count,
-                            memory_budget=self.memory_budget)
+                            memory_budget=self.memory_budget, trace=self.trace)
+
+    def _stats(self, ex: PlanExecutor, paths: int, start: float) -> PathStats:
+        return PathStats(math.prod(ex.cut_dims), paths, ex.flops, ex.peak_bytes,
+                         time.perf_counter() - start,
+                         tuple(ex.step_trace()) if self.trace else ())
 
     def amplitude(self, in_bits: Union[str, int], out_bits: Union[str, int],
                   fidelity: FidelitySpec = FidelitySpec()) -> tuple[complex, PathStats]:
@@ -126,9 +139,7 @@ class AmplitudeEngine:
         ex = self._executor(net)
         paths = fidelity.paths_for(ex.cut_dims)
         total = sum(ex.run(p).scalar() for p in paths)
-        stats = PathStats(math.prod(ex.cut_dims), len(paths), ex.flops,
-                          ex.peak_bytes, time.perf_counter() - start)
-        return total, stats
+        return total, self._stats(ex, len(paths), start)
 
     def amplitude_batch(self, in_bits: Union[str, int], s_ab: Union[str, int],
                         c_sites: Sequence[int], n_c: int, *, seed: int = 0,
@@ -165,11 +176,9 @@ class AmplitudeEngine:
             values = np.sort(rng.choice(2 ** len(c_sites), size=n_c,
                                         replace=False))
         amps = total.reshape(-1)[values]
-        stats = PathStats(math.prod(ex.cut_dims), len(paths), ex.flops,
-                          ex.peak_bytes, time.perf_counter() - start)
         return AmplitudeBatch(as_bits(in_bits, n), s_ab, c_sites,
                               tuple(int(v) for v in values), amps,
-                              fidelity, stats)
+                              fidelity, self._stats(ex, len(paths), start))
 
     def state(self, in_bits: Union[str, int] = 0,
               fidelity: FidelitySpec = FidelitySpec()) -> np.ndarray:

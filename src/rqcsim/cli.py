@@ -140,6 +140,9 @@ def build_parser() -> _Parser:
                    help="completions per batch (default min(32, 2^|C|))")
     p.add_argument("--oracle", action="store_true",
                    help="use the dense reference simulator instead")
+    p.add_argument("--trace", default=None, metavar="FILE",
+                   help="write one JSON line per plan step: evaluations, "
+                        "seconds, counted and priced flops")
     p.set_defaults(handler=_cmd_amplitude)
 
     p = sub.add_parser("sample", help="frugal rejection sampling end to end")
@@ -338,7 +341,7 @@ def _config_echo(args, command: str, **extra) -> dict:
     for key in ("circuit", "lattice", "depth", "seed", "plan", "precision",
                 "threads", "memory_budget", "fidelity", "in_bits", "out_bits",
                 "s_ab", "c_sites", "n_c", "m", "target", "samples", "tol",
-                "bins", "batches", "scheme", "rank", "gammas", "repeats"):
+                "bins", "batches", "scheme", "rank", "gammas", "repeats", "trace"):
         if hasattr(args, key) and getattr(args, key) is not None:
             cfg[key] = getattr(args, key)
     if hasattr(args, "precision"):  # the commands that run the engine
@@ -374,6 +377,8 @@ def _cmd_amplitude(args) -> int:
     if args.oracle:
         if args.out_bits is None:
             raise UsageError("--oracle mode needs --out")
+        if args.trace is not None:
+            raise UsageError("--trace traces the engine, not --oracle")
         out = _bits_arg(args.out_bits, circuit.n)
         amp = oracle.exact_amplitude(circuit, in_bits, out)
         records = [{"in": in_bits, "out": out, "re": amp.real, "im": amp.imag,
@@ -384,16 +389,25 @@ def _cmd_amplitude(args) -> int:
                                                batch=args.out_bits is None)
         cfg = _config_echo(args, "amplitude", plan_kind=engine.plan.lattice_kind,
                            **plan_echo)
+        engine.trace = args.trace is not None
         if args.out_bits is not None:
             out = _bits_arg(args.out_bits, circuit.n)
             amp, stats = engine.amplitude(in_bits, out, fidelity=fid)
             records = [amplitude_record(in_bits, out, amp, fid, stats)]
+            key = {"in": in_bits, "out": out}
         else:
             n_c = _n_c_arg(args, c_sites)
             s_ab = _bits_arg(args.s_ab, circuit.n)
             batch = engine.amplitude_batch(in_bits, s_ab, c_sites, n_c,
                                            seed=args.seed, fidelity=fid)
             records = list(batch_records(batch))
+            stats, key = batch.stats, {"in": in_bits, "s_ab": s_ab}
+        if args.trace is not None:
+            try:
+                with open(args.trace, "w") as fh:
+                    write_amplitudes(fh, ({**key, **step} for step in stats.steps))
+            except OSError as e:
+                raise UsageError(f"cannot write trace file: {e}")
     with _open_out(args) as fh:
         write_amplitudes(fh, [{"config": cfg}])
         write_amplitudes(fh, records)

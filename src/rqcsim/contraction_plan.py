@@ -32,7 +32,11 @@ One symbolic walk over the plan's shapes prices it: flops per step and
 over the whole path space, and a bound on the bytes the executor holds
 at once.  :func:`estimate_cost` runs it on shapes derived from the
 lattice and depth, :class:`PlanExecutor` on the shapes of its network, so
-a plan accepted under a memory budget also runs under it.
+a plan accepted under a memory budget also runs under it.  The same walk
+compiles the plan (:class:`Compiled`): each fold's operand slots and its
+:class:`~rqcsim.tensor_core.Route`, and each sliced site tensor's axes.
+Memoized per network shape, it lets the executor run every path on bare
+arrays, fixing cut values by basic indexing (views) rather than copies.
 
 ``builtin_plan`` builds every lattice's plan from three regions and a set
 of cut bonds: a balanced split across the waist of any rectangle, and for
@@ -49,16 +53,23 @@ import functools
 import itertools
 import math
 import re
+import time
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import _kernels
 from .circuits import DepthSpec, Lattice
 from .network_builder import FOLDED_CORNERS, Net2D, edge_label, site_shapes
-from .tensor_core import (Tensor, contract, route, trim_scratch,
-                          workspace_slots)
+from .tensor_core import (Tensor, contract, contract_arrays, route,
+                          trim_scratch, workspace_slots)
+
+# The labelled contraction as imported.  A wrapper put in its place on this
+# module (a tracer, a test that counts products) makes the executor fold
+# labelled tensors through that wrapper instead of bare arrays, so that it
+# sees every contraction.
+_LABELLED_CONTRACT = contract
 
 
 class PlanError(ValueError):
@@ -428,7 +439,7 @@ def enumerate_paths(cut_dims: Sequence[int], f: float = 1.0,
 class PlanExecutor:
     """Runs a plan against a 2D network, one path at a time.
 
-    At construction it prices and schedules the plan with the shape walk
+    At construction it prices and compiles the plan with the shape walk
     of :func:`estimate_cost`, fed the shapes and dtype of ``net`` itself:
     ``peak_bytes`` is the walk's bound on the live set, a plan over
     ``memory_budget`` is refused before anything is contracted, and the
@@ -436,14 +447,16 @@ class PlanExecutor:
     ``run`` keeps every step's and sliced site tensor's last value and
     reruns only those at or inside the outermost loop whose cut value
     changed since the last completed path; ``flops`` grows by each rerun
-    step's count.
+    step's count.  With ``trace`` it also times every step
+    (:meth:`step_trace`); without it the loop reads no clock.
     """
 
     def __init__(self, net: Net2D, plan: ContractionPlan, *,
-                 thread_count: int = 1, memory_budget: Optional[int] = None):
+                 thread_count: int = 1, memory_budget: Optional[int] = None,
+                 trace: bool = False):
         self.thread_count = thread_count
         self.cut_dims = plan.cut_dims(net.bond_dim)
-        cost, self._reruns = _priced(
+        cost, self._compiled = _priced(
             plan, net.circuit.lattice,
             tuple((s, tuple(zip(t.labels, t.dims))) for s, t in net.tensors.items()),
             self.cut_dims, max(t.array.itemsize for t in net.tensors.values()),
@@ -454,10 +467,13 @@ class PlanExecutor:
         self.peak_bytes = cost.peak_bytes
         trim_scratch(cost.scratch_bytes)
         self.flops = 0
-        self._sites = {f"t{s}": t for s, t in net.tensors.items()}
-        self._values = dict(self._sites)  # name -> its value on the last path
+        self._steps = cost.steps
+        self._sites = [t.array for t in net.tensors.values()]
+        # slot -> its value on the last path: site tensors, then steps
+        self._values = self._sites + [None] * len(cost.steps)
         self._last: Optional[tuple[int, ...]] = None  # last completed path
-        self._output = self._reruns[0][-1][0]  # every step feeds the last
+        # per step: [evaluations, seconds, flops] over this executor's runs
+        self._trace = [[0, 0.0, 0] for _ in cost.steps] if trace else None
 
     def run(self, path: tuple[int, ...]) -> Tensor:
         """Execute one path; returns the output tensor (scalar-ranked
@@ -473,21 +489,45 @@ class PlanExecutor:
         last, self._last = self._last, None  # nothing is current until done
         outer = -1 if last is None else next(
             (i for i, (v, w) in enumerate(zip(path, last)) if v != w), len(path))
-        values = self._values
-        for name, inputs, fixes, flops in self._reruns[outer + 1]:
-            if fixes:
-                acc = self._sites[name]
-                for label, cut, digits in fixes:
-                    acc = acc.fix(label, digits[path[cut]])
-            else:
-                acc = values[inputs[0]]
-                for other in inputs[1:]:
-                    acc = contract(acc, values[other],
-                                   thread_count=self.thread_count)
-                self.flops += flops
-            values[name] = acc
+        values, sites, threads = self._values, self._sites, self.thread_count
+        trace, first_step = self._trace, len(sites)
+        hook = None if contract is _LABELLED_CONTRACT else contract
+        for dst, src, cut, folds, flops in self._compiled.reruns[outer + 1]:
+            if trace is not None:
+                start = time.perf_counter()
+            if cut is None:
+                acc = values[src]
+            else:  # a sliced site tensor, as a view of the network's array
+                index = list(cut[0])
+                for pos, i, digits in cut[1]:
+                    index[pos] = digits[path[i]]
+                acc = sites[src][tuple(index)]
+            for other, r, labels in folds:
+                if hook is None:
+                    acc = contract_arrays(acc, values[other], r, threads)
+                else:
+                    acc = hook(Tensor(labels[0], acc),
+                               Tensor(labels[1], values[other]),
+                               thread_count=threads).array
+            values[dst] = acc
+            self.flops += flops
+            if trace is not None and dst >= first_step:
+                row = trace[dst - first_step]
+                row[0] += 1
+                row[1] += time.perf_counter() - start
+                row[2] += flops
         self._last = path
-        return values[self._output]
+        return Tensor(self._compiled.out_labels, values[-1])
+
+    def step_trace(self) -> list[dict]:
+        """Per plan step, over this executor's runs so far (needs
+        ``trace``): evaluations, seconds, the flops counted, and the
+        flops the walk prices for the whole path space."""
+        if self._trace is None:
+            raise ValueError("executor was built without trace=True")
+        return [{"step": sc.name, "evaluations": n, "seconds": seconds,
+                 "flops": flops, "flops_priced": sc.flops * sc.evaluations}
+                for sc, (n, seconds, flops) in zip(self._steps, self._trace)]
 
 
 def execute_plan(net: Net2D, plan: ContractionPlan, path: tuple[int, ...], *,
@@ -520,29 +560,50 @@ class CostEstimate:
     scratch_bytes: tuple[int, int] = (0, 0)  # (left, right) operand scratch, in peak_bytes
 
 
+class Compiled(NamedTuple):
+    """A plan's schedule on bare arrays, from :func:`_walk`.  Values live
+    in slots: the site tensors in the network's order, then the steps in
+    program order.  ``reruns[k + 1]`` lists what :meth:`PlanExecutor.run`
+    recomputes when loop ``k`` is the outermost that ticked (-1:
+    everything): ``(dst, src, cut, folds, flops)`` starts from slot
+    ``src``, or for a sliced site tensor from the view that ``cut = (index,
+    axes)`` selects (each ``(axis, cut, digits)`` sets ``index[axis]`` to
+    ``digits[path[cut]]``), folds in each ``(slot, route, (labels,
+    labels))`` and stores the result in slot ``dst``."""
+
+    reruns: tuple
+    out_labels: tuple[str, ...]
+
+
 def _walk(plan: ContractionPlan, analysis: PlanAnalysis,
           shapes: dict[int, dict[str, int]], cut_dims: Sequence[int],
-          itemsize: int) -> tuple[CostEstimate, tuple]:
+          itemsize: int) -> tuple[CostEstimate, Compiled]:
     """Fold the plan's shapes (site -> label -> dim, in the site tensor's
     index order) through :func:`route`, the way the executor folds its
-    tensors, price every step and the live set, and schedule the plan.
+    tensors, price every step and the live set, and compile the plan.
 
+    The plan must consume every site tensor of ``shapes`` and no other.
     Flops follow the 8-real-ops-per-complex-multiply-add convention for
     each pairwise matrix product.  A step reruns whenever a loop at or
     outside its innermost dependency ticks.  The peak bounds, in bytes,
     the executor's live set at any moment: every step's last output (a
     recomputing step's stale value included), every sliced site tensor,
     the arrays one fold or slicing makes fresh (the accumulator this step
-    built so far plus the new product or slices), and ``contract``'s
-    operand scratch: per side and workspace slot, the largest operand the
-    route copies there.
-
-    The schedule's entry ``k + 1`` lists what :meth:`PlanExecutor.run`
-    reruns, in program order, when loop ``k`` is the outermost that ticked
-    (-1: every entry): ``(name, inputs, fixes, flops)``.  A step folds
-    ``inputs`` into ``name``; a sliced site tensor ``name`` applies
-    ``fixes``, each (label, cut, the label's index per value of that cut).
+    built so far plus the new product or slices), and the operand
+    scratch of :func:`contract_arrays`: per side and workspace slot, the
+    largest operand the route copies there.  The executor slices by
+    views, copied only by a route that reads a non-contiguous one in
+    place (:func:`~rqcsim.tensor_core.permute_fast`); a slice is priced as
+    a copy held, so the peak stays an upper bound.
     """
+    consumed = plan.site_ids()
+    missing = set(shapes) - consumed
+    if missing:
+        raise PlanError(f"plan never consumes site tensors {sorted(missing)}")
+    extra = consumed - set(shapes)
+    if extra:
+        raise PlanError(f"plan references absent site tensors {sorted(extra)}")
+
     def bond_dim(bond: tuple[int, int]) -> int:
         return shapes.get(bond[0], {}).get(edge_label(*bond), 1)
 
@@ -550,21 +611,25 @@ def _walk(plan: ContractionPlan, analysis: PlanAnalysis,
         if any(not 0 <= v < math.prod(map(bond_dim, cut.bonds))
                for v in cut.values or ()):
             raise PlanError(f"cut {cut.name!r} values out of range")
+    slot = {f"t{s}": i for i, s in enumerate(shapes)}
     cached = slices = transient = 0
     scratch = ([0, 0], [0, 0])  # side (left, right) -> slot -> entries
     steps: list[StepCost] = []
     schedule: list[tuple[int, tuple]] = []  # (innermost cut, entry)
     folded: dict[str, dict[str, int]] = {}
-    for step in plan.steps():
+
+    for k, step in enumerate(plan.steps()):
         acc: Optional[dict[str, int]] = None
         flops = 0
         fresh = 0  # entries of the accumulator, once this step made it
+        folds = []
         for name in step.inputs:
             m = _SITE_RE.fullmatch(name)
             if m:
                 site = int(m.group(1))
                 operand = dict(shapes[site])
-                sizes = []  # entries after each fix, in executor order
+                axis = {label: p for p, label in enumerate(operand)}
+                sizes = []  # entries after each fix, in slicing order
                 fixes = []
                 for i in analysis.site_cuts.get(site, ()):
                     cut, stride = plan.cuts[i], 1
@@ -572,18 +637,20 @@ def _walk(plan: ContractionPlan, analysis: PlanAnalysis,
                         label, dim = edge_label(*bond), bond_dim(bond)
                         if operand.pop(label, None) is not None:
                             sizes.append(math.prod(operand.values()))
-                            fixes.append((label, i, tuple(
+                            fixes.append((axis[label], i, tuple(
                                 v // stride % dim
                                 for v in cut.values or range(cut_dims[i]))))
                         stride *= dim
                 if sizes:
                     slices += sizes[-1]
                     transient = max(transient, fresh + sum(sizes[:2]))
-                    schedule.append((fixes[-1][1], (name, (), tuple(fixes), 0)))
+                    index = (slice(None),) * len(shapes[site]) + (Ellipsis,)
+                    schedule.append((fixes[-1][1], (slot[name], slot[name], (
+                        index, tuple(fixes)), (), 0)))
             else:
                 operand = folded[name]
             if acc is None:
-                acc = operand
+                acc, first = operand, slot[name]
                 continue
             r = route(tuple(acc), tuple(acc.values()),
                       tuple(operand), tuple(operand.values()))
@@ -591,51 +658,48 @@ def _walk(plan: ContractionPlan, analysis: PlanAnalysis,
             l_size, r_size = (math.prod(side.values()) for side in sides)
             for held, perm, size in zip(scratch, (r.plan_l, r.plan_r),
                                         (l_size, r_size)):
-                for slot in range(workspace_slots(perm)):
-                    held[slot] = max(held[slot], size)
+                for ws_slot in range(workspace_slots(perm)):
+                    held[ws_slot] = max(held[ws_slot], size)
             flops += 8 * r.rows * r_size  # 8 * m * k * n
             out = math.prod(r.dims)
             transient = max(transient, fresh + out)
             fresh = out
+            folds.append((slot[name], r, (tuple(acc), tuple(operand))))
             acc = dict(zip(r.labels, r.dims))
         folded[step.name] = acc
+        slot[step.name] = len(shapes) + k
         cached += math.prod(acc.values())
         deps = analysis.step_deps[step.name]
         inner = max(deps, default=-1)
         steps.append(StepCost(step.name, flops, math.prod(cut_dims[:inner + 1])))
-        schedule.append((inner, (step.name, step.inputs, (), flops)))
+        schedule.append((inner, (len(shapes) + k, first, None, tuple(folds),
+                                 flops)))
     left, right = (sum(held) * itemsize for held in scratch)
     reruns = tuple(tuple(entry for inner, entry in schedule if inner >= outer)
                    for outer in range(-1, len(cut_dims) + 1))
     return CostEstimate(math.prod(cut_dims),
                         sum(sc.flops * sc.evaluations for sc in steps),
                         (cached + slices + transient) * itemsize + left + right,
-                        tuple(steps), (left, right)), reruns
+                        tuple(steps), (left, right)), \
+        Compiled(reruns, tuple(acc))
 
 
 @functools.lru_cache(maxsize=32)
 def _priced(plan: ContractionPlan, lattice: Lattice,
             shapes: tuple[tuple[int, tuple[tuple[str, int], ...]], ...],
             cut_dims: tuple[int, ...], itemsize: int,
-            backend: str) -> tuple[CostEstimate, tuple]:
+            backend: str) -> tuple[CostEstimate, Compiled]:
     """Validate ``plan`` against a network's lattice and site shapes
-    (site, ((label, dim), ...)), then price and schedule it (:func:`_walk`).
+    (site, ((label, dim), ...)), then price and compile it (:func:`_walk`).
 
     Every executor built on networks of one shape -- each batch of a
     sampling run, each amplitude of one circuit -- gets the same answer,
     so it is memoized; callers must not mutate what it returns.  The
-    scratch price depends on the active kernel backend too
-    (:func:`workspace_slots`), so ``backend`` names it in the memo key.
+    answer holds routes and indexes, never arrays.  The scratch price
+    depends on the active kernel backend too (:func:`workspace_slots`), so
+    ``backend`` names it in the memo key.
     """
-    analysis = plan.analyze(lattice)
-    sites = {s for s, _ in shapes}
-    missing = sites - plan.site_ids()
-    if missing:
-        raise PlanError(f"plan never consumes site tensors {sorted(missing)}")
-    extra = plan.site_ids() - sites
-    if extra:
-        raise PlanError(f"plan references absent site tensors {sorted(extra)}")
-    return _walk(plan, analysis, {s: dict(ls) for s, ls in shapes},
+    return _walk(plan, plan.analyze(lattice), {s: dict(ls) for s, ls in shapes},
                  cut_dims, itemsize)
 
 

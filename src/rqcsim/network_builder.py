@@ -14,7 +14,8 @@ merges the per-window bonds of every lattice edge into a single index
 whose dimension is the product of their Schmidt ranks, yielding one
 tensor per site -- a 2D network shaped like the lattice, ready for the
 contraction planner.  Each site tensor is laid out with one transpose,
-straight into :func:`site_label_order`, and one reshape.
+straight into :func:`site_label_order`, and one reshape.  Its output
+indexes lead, so fixing output bits takes views, not copies.
 """
 
 from __future__ import annotations
@@ -110,10 +111,11 @@ def as_bits(value, n: int) -> str:
 
 
 def site_label_order(labels: Iterable[str]) -> tuple[str, ...]:
-    """A site tensor's index order: merged edges by label, then outputs by
-    qubit."""
-    return tuple(sorted(labels, key=lambda l: (1, int(l[3:]))
-                        if l.startswith("out") else (0, l)))
+    """A site tensor's index order: outputs by qubit, then merged edges by
+    label.  With the outputs leading, fixing them selects one contiguous
+    block of the tensor."""
+    return tuple(sorted(labels, key=lambda l: (0, int(l[3:]))
+                        if l.startswith("out") else (1, l)))
 
 
 #: Sites (row, col) that :func:`contract_time` folds into their only
@@ -179,21 +181,24 @@ class Net2D:
     out_bits: Optional[str]
     open_sites: tuple[int, ...]
 
-    def owner_of(self, label: str) -> int:
-        for site, t in self.tensors.items():
-            if label in t.labels:
-                return site
-        raise KeyError(label)
-
     def fix_outputs(self, bits: dict[int, int]) -> "Net2D":
-        """New network with the given open outputs sliced to fixed bits."""
+        """New network with the given open outputs sliced to fixed bits.
+        Outputs lead each site tensor (:func:`site_label_order`), so a
+        fixed site is a view of this network's array, copied only if an
+        output left open precedes a fixed one."""
+        want = {out_label(q): int(bit) for q, bit in bits.items()}
         tensors = dict(self.tensors)
-        for q, bit in bits.items():
-            try:
-                owner = self.owner_of(out_label(q))
-            except KeyError:
-                raise KeyError(f"site {q} has no open output") from None
-            tensors[owner] = tensors[owner].fix(out_label(q), int(bit))
+        for site, t in self.tensors.items():
+            index = [want.pop(l, slice(None)) for l in t.labels
+                     if l.startswith("out")]
+            if any(isinstance(i, int) for i in index):
+                view = t.array[(*index, ...)]
+                tensors[site] = Tensor(
+                    [l for l, i in zip(t.labels, index) if i == slice(None)]
+                    + list(t.labels[len(index):]),
+                    view if view.flags.c_contiguous else view.copy())
+        if want:
+            raise KeyError(f"site {next(iter(want))[3:]} has no open output")
         remaining = tuple(q for q in self.open_sites if q not in bits)
         return Net2D(self.circuit, tensors, self.bond_dim, self.in_bits,
                      self.out_bits, remaining)

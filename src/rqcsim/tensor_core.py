@@ -35,6 +35,14 @@ labels before the block, the other operand's free labels, then the rest.
 Permuted operand copies land in reused scratch buffers instead of fresh
 memory.  :func:`route` states the layout and :func:`workspace_slots` the
 buffers a copy fills; plan pricing reads both.
+
+The contraction itself works on bare arrays: :func:`contract_arrays`
+takes the two operands and the :class:`Route` for their labels and
+shapes, so a caller that stores its routes (a compiled plan) pays no label
+handling per call.  An operand may be a non-contiguous view (a slice made
+by basic indexing); a route that permutes it copies it straight from the
+view in one strided pass.  :func:`contract` is the labelled wrapper:
+it looks the route up and returns a :class:`Tensor`.
 """
 
 from __future__ import annotations
@@ -316,21 +324,23 @@ def permute_fast(array: np.ndarray, plan: PermutePlan, thread_count: int = 1,
                  workspace: Optional[Workspace] = None) -> np.ndarray:
     """Apply a move plan; returns a row-major array with permuted indexes.
 
-    With no data movement needed the input is returned as-is.  A plan
-    without a move decomposition, and on the numpy backend a plan of two
-    or more moves or a single L move, runs as one strided transpose; on
-    numba any number of moves ping-pongs between two buffers.  When a
+    With no data movement needed the input is returned as-is (copied
+    only if it is a non-contiguous view).  A plan without a move
+    decomposition, a non-contiguous input, and on the numpy backend a plan
+    of two or more moves, run as one strided transpose; on numba any
+    number of moves ping-pongs between two buffers.  When a
     workspace is supplied the result aliases one of its buffers and is
     only valid until the next call that reuses it; otherwise it is a fresh
     array.
     """
-    a = np.ascontiguousarray(array).reshape(plan.dims)
     slots = workspace_slots(plan)
     if not slots:
-        return a
+        return np.ascontiguousarray(array).reshape(plan.dims)
 
+    a = array.reshape(plan.dims)
     ws = workspace if workspace is not None else Workspace()
-    if plan.fallback is not None or (slots == 1 and len(plan.moves) > 1):
+    if plan.fallback is not None or not a.flags.c_contiguous or \
+            (slots == 1 and len(plan.moves) > 1):
         out = ws.take(a.size, a.dtype, 0).reshape(plan.out_dims)
         np.copyto(out, np.transpose(a, plan.perm))
         return out
@@ -450,20 +460,27 @@ def trim_scratch(max_bytes: tuple[int, int]) -> None:
         ws.trim(limit)
 
 
-def contract(a: Tensor, b: Tensor, thread_count: int = 1) -> Tensor:
-    """Contract two tensors over all shared labels, laid out as
-    :func:`route` says.  Only permuted copies are made, into per-thread
-    scratch buffers, one workspace per operand side."""
-    r = route(a.labels, a.array.shape, b.labels, b.array.shape)
+def contract_arrays(a: np.ndarray, b: np.ndarray, r: "Route",
+                    thread_count: int = 1) -> np.ndarray:
+    """Contract two bare arrays by a route :func:`route` worked out for
+    their labels and shapes; the result is laid out as ``r.labels``.  Only
+    permuted copies are made, into per-thread scratch buffers, one
+    workspace per operand side."""
     left, right = (b, a) if r.swap else (a, b)
     ws_l, ws_r = _operand_scratch()
-    arr_l = permute_fast(left.array, r.plan_l, thread_count, ws_l)
-    arr_r = permute_fast(right.array, r.plan_r, thread_count, ws_r)
+    arr_l = permute_fast(left, r.plan_l, thread_count, ws_l)
+    arr_r = permute_fast(right, r.plan_r, thread_count, ws_r)
     ksz = arr_l.size // r.rows
     # one GEMM per prefix entry; a lone matrix skips numpy's batching
     rhs = arr_r.reshape(r.batch, ksz, -1) if r.batch > 1 else arr_r.reshape(ksz, -1)
-    out = arr_l.reshape(r.rows, ksz) @ rhs
-    return Tensor(r.labels, out.reshape(r.dims))
+    return (arr_l.reshape(r.rows, ksz) @ rhs).reshape(r.dims)
+
+
+def contract(a: Tensor, b: Tensor, thread_count: int = 1) -> Tensor:
+    """Contract two tensors over all shared labels: :func:`contract_arrays`
+    by their :func:`route`."""
+    r = route(a.labels, a.array.shape, b.labels, b.array.shape)
+    return Tensor(r.labels, contract_arrays(a.array, b.array, r, thread_count))
 
 
 class Route(NamedTuple):
@@ -479,8 +496,8 @@ class Route(NamedTuple):
 @functools.lru_cache(maxsize=4096)
 def route(a_labels: tuple[str, ...], a_dims: tuple[int, ...],
           b_labels: tuple[str, ...], b_dims: tuple[int, ...]) -> Route:
-    """:func:`contract`'s layout for operands of these labels and shapes,
-    worked out once per pair of shapes.
+    """The layout :func:`contract_arrays` follows for operands of these
+    labels and shapes, worked out once per pair of shapes.
 
     Where the shared labels sit in the larger operand decides it, and with
     it the output label order (free labels keep their operand's order):

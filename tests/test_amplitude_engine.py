@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from rqcsim import contraction_plan, oracle
+from rqcsim import contraction_plan, oracle, tensor_core
 from rqcsim.amplitude_engine import (
     AmplitudeBatch,
     AmplitudeEngine,
@@ -165,6 +165,49 @@ class TestBatch:
     def test_oversized_batch_rejected(self, engine_4x4):
         with pytest.raises(ValueError):
             engine_4x4.amplitude_batch(0, 0, (14, 15), 5, seed=0)
+
+
+class TestCompiledRuns:
+    """Per amplitude, the engine slices its cached network by views and
+    runs a schedule compiled once per network shape."""
+
+    def test_second_amplitude_makes_no_route_or_plan_lookups(
+            self, circuit_3x4_t16, state_3x4_t16, monkeypatch):
+        engine = AmplitudeEngine(circuit_3x4_t16, dtype=np.complex128)
+        engine.amplitude(0, 5)
+        routes = tensor_core.route.cache_info()
+        plans = len(tensor_core._PLAN_CACHE)
+        planned, lookups = tensor_core.planned, []
+        monkeypatch.setattr(tensor_core, "planned",
+                            lambda *a, **k: lookups.append(a) or planned(*a, **k))
+        amp, _ = engine.amplitude(0, 6)
+        info = tensor_core.route.cache_info()
+        assert (info.hits, info.misses) == (routes.hits, routes.misses)
+        assert len(tensor_core._PLAN_CACHE) == plans
+        assert not lookups
+        assert abs(amp - state_3x4_t16[6]) < 1e-10
+
+    def test_fixed_outputs_are_views_of_a_read_only_base(self, circuit_3x4_t16):
+        engine = AmplitudeEngine(circuit_3x4_t16)
+        base = engine.base_net(0)
+        fixed = base.fix_outputs({q: q % 2 for q in range(circuit_3x4_t16.n)})
+        assert fixed.open_sites == ()
+        for site, t in fixed.tensors.items():
+            assert not any(label.startswith("out") for label in t.labels)
+            assert t.array.flags.c_contiguous
+            assert np.shares_memory(t.array, base.tensors[site].array)
+        with pytest.raises(ValueError):
+            base.tensors[0].array[...] = 0
+        with pytest.raises(ValueError):
+            fixed.tensors[0].array[...] = 0
+
+    def test_trace_steps_sum_to_the_flops(self, circuit_3x4_t16):
+        engine = AmplitudeEngine(circuit_3x4_t16, trace=True)
+        _, stats = engine.amplitude(0, 3)
+        assert [row["step"] for row in stats.steps] == \
+            [step.name for step in engine.plan.steps()]
+        assert sum(row["flops"] for row in stats.steps) == stats.flops
+        assert AmplitudeEngine(circuit_3x4_t16).amplitude(0, 3)[1].steps == ()
 
 
 class TestMixedStateSamples:

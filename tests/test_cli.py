@@ -96,6 +96,28 @@ class TestAmplitude:
         assert len({rec["seconds"] for rec in recs[1:]}) == 1
         assert recs[1]["seconds"] > 0
 
+    @pytest.mark.parametrize("mode", [("--out", "0" * 12), ("--n-c", "4")])
+    def test_trace_writes_one_line_per_step(self, circuit_file, tmp_path,
+                                            capsys, mode):
+        trace = tmp_path / "trace.jsonl"
+        code, out, _ = run(capsys, "amplitude", "--circuit", str(circuit_file),
+                           *mode, "--trace", str(trace))
+        assert code == 0
+        lines = [json.loads(line) for line in out.splitlines()]
+        lat = Lattice.named("grid:3x4")
+        open_sites = () if mode[0] == "--out" else \
+            contraction_plan.builtin_plan(lat).batch_sites
+        plan = contraction_plan.builtin_plan(lat, "1+16+1", open_sites=open_sites)
+        steps = [json.loads(line) for line in trace.read_text().splitlines()]
+        assert lines[0]["config"]["trace"] == str(trace)
+        assert [row["step"] for row in steps] == [s.name for s in plan.steps()]
+        assert sum(row["flops"] for row in steps) == lines[1]["flops"]
+        assert all(row["flops"] == row["flops_priced"] and row["evaluations"] >= 1
+                   and row["seconds"] >= 0 for row in steps)
+        code, _, err = run(capsys, "amplitude", "--circuit", str(circuit_file),
+                           "--out", "0" * 12, "--oracle", "--trace", str(trace))
+        assert code == 1 and "--trace" in err
+
     def test_oracle_mode_matches_engine(self, circuit_file, capsys):
         _, eng_out, _ = run(
             capsys, "amplitude", "--circuit", str(circuit_file), "--out",
@@ -379,6 +401,20 @@ class TestExitCodes:
         )
         assert code == 1
         assert "not a lattice bond" in err
+
+    def test_plan_missing_a_site_is_1(self, tmp_path, capsys):
+        """grid:3x3's builtin plan without its C site: refused with a plan
+        error, not priced and run."""
+        plan = contraction_plan.builtin_plan(Lattice.named("grid:3x3"))
+        text = contraction_plan.format_plan(plan)
+        path = tmp_path / "short.plan"
+        path.write_text(text.replace("contract t8 -> C reuse=global\n", "")
+                        .replace("contract AB C -> result", "contract AB -> result"))
+        code, out, err = run(capsys, "amplitude", "--lattice", "grid:3x3",
+                             "--depth", "1+8+1", "--plan", str(path),
+                             "--out", "0" * 9)
+        assert code == 1 and not out
+        assert "never consumes site tensors [8]" in err
 
     def test_repeated_cut_value_is_1(self, tmp_path, capsys):
         """A value listed twice would count its path twice: on grid:3x3's

@@ -753,3 +753,102 @@ class TestPlanValidation:
         (dim,) = plan.cut_dims(net.bond_dim)
         with pytest.raises((PlanError, IndexError, ValueError)):
             execute_plan(net, plan, (dim,)).scalar()
+
+    def test_unconsumed_site_refused_by_estimate_and_executor(self):
+        """Both the estimate and the executor refuse a plan that drops a
+        site tensor: grid:3x3's builtin plan without ``contract t8 -> C``
+        priced at 1,536 flops when only the executor checked coverage."""
+        lat = Lattice.named("grid:3x3")
+        text = format_plan(builtin_plan(lat))
+        plan = parse_plan(text.replace("contract t8 -> C reuse=global\n", "")
+                          .replace("contract AB C -> result",
+                                   "contract AB -> result"))
+        with pytest.raises(PlanError, match=r"never consumes site tensors \[8\]"):
+            estimate_cost(plan, lat, "1+8+1")
+        net = closed_net(generate_rqc(lat, "1+8+1", seed=0))
+        with pytest.raises(PlanError, match=r"never consumes site tensors \[8\]"):
+            PlanExecutor(net, plan)
+
+
+def _grid_case(rows, cols, n_cuts, c_early, c_open, dtype, seed):
+    lat = Lattice.rectangle(rows, cols)
+    plan = grid_plan(lat, n_cuts, c_early=c_early)
+    open_sites = plan.batch_sites if c_open else ()
+    net = contract_time(build_3d(generate_rqc(lat, "1+8+1", seed=seed), 0, None,
+                                 dtype=dtype))
+    net = net.fix_outputs({q: (q * 5 + seed) % 2 for q in range(lat.n)
+                           if q not in open_sites})
+    return lat, plan, open_sites, net
+
+
+class TestBareArrayExecutor:
+    """The compiled schedule runs on bare arrays and views and gives what
+    the labelled reference contraction gives."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_path_sum_matches_contract_grid(self, data):
+        rows = data.draw(st.integers(2, 3))
+        cols = data.draw(st.integers(3, 4))
+        waist = min(rows, cols)
+        n_cuts = data.draw(st.integers(0, waist))
+        c_early = data.draw(st.booleans())
+        c_open = data.draw(st.booleans())
+        dtype = data.draw(st.sampled_from([np.complex64, np.complex128]))
+        seed = data.draw(st.integers(0, 3))
+        lat, plan, open_sites, net = _grid_case(rows, cols, n_cuts, c_early,
+                                                c_open, dtype, seed)
+        ex = PlanExecutor(net, plan)
+        total = None
+        for path in enumerate_paths(ex.cut_dims):
+            out = ex.run(path)
+            total = out.array.copy() if total is None else total + out.array
+        labels = tuple(out_label(q) for q in open_sites)
+        got = Tensor(out.labels, total).transpose_to(labels).array
+        want = contract_grid(net).transpose_to(labels).array
+        tol = 1e-4 if dtype == np.complex64 else 1e-11
+        assert np.max(np.abs(got - want)) <= tol * max(np.max(np.abs(want)), 1e-30)
+        est = estimate_cost(plan, lat, "1+8+1", open_sites=open_sites,
+                            itemsize=np.dtype(dtype).itemsize)
+        assert ex.flops == est.total_flops
+        assert ex.peak_bytes == est.peak_bytes
+
+    def test_cut_slices_are_views(self, kernel_backend, monkeypatch):
+        """Every sliced site tensor the executor holds is a view of the
+        network's array, non-contiguous ones included, and each path gives
+        bit for bit what folding labelled tensors through ``contract``
+        gives (the path a wrapper on ``contraction_plan.contract`` takes)."""
+        lat, plan, _, net = _grid_case(3, 4, 2, True, False, np.complex128, 1)
+        ex = PlanExecutor(net, plan)
+        base = [t.array for t in net.tensors.values()]
+        got = [ex.run(path).scalar() for path in enumerate_paths(ex.cut_dims)]
+        sliced = [entry[0] for entry in ex._compiled.reruns[0] if entry[2]]
+        assert sliced
+        assert any(not ex._values[s].flags.c_contiguous for s in sliced)
+        for s in sliced:
+            assert np.shares_memory(ex._values[s], base[s])
+        contract = contraction_plan.contract
+        monkeypatch.setattr(contraction_plan, "contract",
+                            lambda *a, **k: contract(*a, **k))
+        labelled = PlanExecutor(net, plan)
+        assert got == [labelled.run(path).scalar()
+                       for path in enumerate_paths(ex.cut_dims)]
+
+    def test_untraced_run_reads_no_clock(self, monkeypatch):
+        lat, plan, _, net = _grid_case(3, 4, 2, True, False, np.complex64, 0)
+        ticks = []
+        clock = contraction_plan.time.perf_counter
+        monkeypatch.setattr(contraction_plan.time, "perf_counter",
+                            lambda: ticks.append(1) or clock())
+        ex = fresh_run(net, plan)
+        assert not ticks
+        traced = PlanExecutor(net, plan, trace=True)
+        for path in enumerate_paths(traced.cut_dims):
+            traced.run(path)
+        assert ticks
+        rows = traced.step_trace()
+        assert [row["step"] for row in rows] == [s.name for s in plan.steps()]
+        assert sum(row["flops"] for row in rows) == traced.flops == ex.flops
+        assert all(row["flops"] == row["flops_priced"] for row in rows)
+        with pytest.raises(ValueError):
+            ex.step_trace()

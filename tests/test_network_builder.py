@@ -131,6 +131,22 @@ class TestOpenOutputs:
         assert np.isclose(amp, oracle.exact_amplitude(circ, 0, 0b0010), atol=1e-10)
         assert fixed.open_sites == ()
 
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_fix_outputs_on_a_site_holding_two(self, which):
+        """A folded bristlecone-72 corner leaves its neighbour two leading
+        outputs: fixing the first is a view, fixing only the second a
+        contiguous copy of the strided slice."""
+        lat = Lattice.named("bristlecone-72")
+        net = contract_time(build_3d(generate_rqc(lat, "1+8+1", seed=0)))
+        site, t = next((s, t) for s, t in net.tensors.items()
+                       if sum(l.startswith("out") for l in t.labels) == 2)
+        q = int(t.labels[which][3:])
+        fixed = net.fix_outputs({q: 1}).tensors[site]
+        assert fixed.labels == t.labels[:which] + t.labels[which + 1:]
+        assert fixed.array.flags.c_contiguous
+        assert np.array_equal(fixed.array, np.take(t.array, 1, axis=which))
+        assert np.shares_memory(fixed.array, t.array) == (which == 0)
+
     def test_fix_outputs_unknown_site(self, grid_2x2):
         circ = generate_rqc(grid_2x2, "1+8+1", seed=5)
         net = contract_time(build_3d(circ, out_bits=0, dtype=np.complex128))
@@ -151,12 +167,6 @@ class TestNetworkShape:
         b_dp = contract_time(build_3d(deep, out_bits=0)).bond_dim
         assert all(b_dp[e] >= b_sh[e] for e in b_sh)
 
-    def test_owner_of_finds_site(self, grid_2x2):
-        circ = generate_rqc(grid_2x2, "1+8+1", seed=0)
-        net = contract_time(build_3d(circ, open_sites=(1,), out_bits=0))
-        assert net.owner_of(out_label(1)) == 1
-        with pytest.raises(KeyError):
-            net.owner_of("nonexistent")
 
 
 class TestSiteLayout:
@@ -213,6 +223,6 @@ class TestSiteLayout:
             for blk in stack[1:]:
                 blocks = contract(blocks, blk)
             windows = [window_bond(w, 0, 1) for w in range(11)]
-            want = blocks.transpose_to(windows + [out_label(q)]).array
+            want = blocks.transpose_to([out_label(q)] + windows).array
             assert np.array_equal(net.tensors[q].array,
-                                  want.reshape(2 ** 11, 2))
+                                  want.reshape(2, 2 ** 11))

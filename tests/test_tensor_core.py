@@ -15,13 +15,16 @@ from hypothesis import strategies as st
 from rqcsim import _kernels, tensor_core
 from rqcsim.tensor_core import (
     Tensor,
+    Workspace,
     benchmark_csv,
     benchmark_permute,
     contract,
+    contract_arrays,
     permute_fast,
     permute_naive,
     plan_permutation,
     planned,
+    route,
 )
 
 
@@ -485,3 +488,32 @@ class TestBenchmark:
         )
         ops = {r["op"] for r in rows}
         assert any(op.endswith("/numpy") for op in ops)
+
+
+class TestViewOperands:
+    """``permute_fast`` and ``contract_arrays`` take non-contiguous views,
+    copied straight from the view by whatever the plan does."""
+
+    @pytest.mark.parametrize("perm", [(0, 1, 2, 3), (1, 0, 2, 3),
+                                      (0, 1, 3, 2), (3, 1, 0, 2)])
+    def test_view_permutes_like_its_copy(self, perm, kernel_backend):
+        rng = np.random.default_rng(3)
+        base = rng.standard_normal((4, 3, 8, 4, 8)).astype(np.complex64)
+        view = base[:, 1]  # drops a middle axis: not contiguous
+        assert not view.flags.c_contiguous
+        plan = planned(view.shape, perm, mu=2, nu=5)
+        got = permute_fast(view, plan, workspace=Workspace())
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, permute_naive(view, perm))
+
+    def test_contract_arrays_follows_the_route(self):
+        rng = np.random.default_rng(4)
+        a = rng.standard_normal((3, 4, 5)).astype(np.complex128)
+        b = rng.standard_normal((5, 2, 6, 4)).astype(np.complex128)[:, 1]
+        assert not b.flags.c_contiguous
+        r = route(("i", "j", "k"), a.shape, ("k", "m", "j"), b.shape)
+        got = contract_arrays(a, b, r)
+        want = contract(Tensor(("i", "j", "k"), a),
+                        Tensor(("k", "m", "j"), np.ascontiguousarray(b)))
+        assert got.shape == r.dims and want.labels == r.labels
+        assert np.array_equal(got, want.array)
