@@ -163,15 +163,24 @@ def r_move(src: np.ndarray, dst: np.ndarray, col_map: np.ndarray, d_gamma: int,
 #
 # They are NumPy-only whatever the backend, so the reference shares no
 # backend with the engine it checks.  Each works in place on the (2,)*n
-# view of the state, where qubit q is axis q, by slicing that axis.  A
-# kernel that needs a temporary walks the state in pieces, fixing leading
-# axes it does not act on, so its few passes over a piece hit cache and
-# its temporaries stay piece-sized.
+# view of the state, where qubit q is axis q.  A kernel that needs a
+# temporary walks the state in pieces, so its few passes over a piece hit
+# cache and its temporaries stay piece-sized.  A one-qubit gate picks its
+# method by R = 2^(n-q-1), the run of amplitudes below its qubit: long
+# runs are sliced, and shorter ones go through one matrix product per
+# piece, so no elementwise pass steps through short strided runs.
 # ---------------------------------------------------------------------------
 
 # Amplitudes per slice of a piece: 2^14 complex128 is 256 KiB, so a
 # one-qubit gate's two slices and two temporaries fit a 2 MiB L2 cache.
 _PIECE_QUBITS = 14
+
+# apply_1q's method by R: runs of at most _KRON_MAX_RUN amplitudes are
+# right-multiplied by kron(gate, I_R); runs up to _MATMUL_MAX_RUN are
+# gathered into a (2, rows * R) matrix for one product; longer ones are
+# sliced.
+_KRON_MAX_RUN = 1 << 4
+_MATMUL_MAX_RUN = 1 << 12
 
 
 def _at(n: int, fixed: dict[int, int]) -> tuple:
@@ -198,7 +207,42 @@ def _pieces(n: int, busy: tuple[int, ...]):
 
 
 def apply_1q(state: np.ndarray, gate: np.ndarray, q: int) -> None:
-    """Apply a 2x2 gate in place to qubit q of a (2,)*n state."""
+    """Apply a 2x2 gate in place to qubit q of a (2,)*n state.
+
+    Each amplitude pair (q = 0, q = 1) lies R = 2^(n-q-1) apart.  Where R
+    is long (leading qubits) the two halves are contiguous slices, updated
+    with a few elementwise passes.  Elsewhere the state is cut into pieces
+    of whole rows of 2R amplitudes.  Where R is middling, a piece's q = 0
+    and q = 1 halves are gathered into one (2, rows * R) matrix, which
+    ``gate`` multiplies in one call.  Where R is short (trailing qubits),
+    each piece is right-multiplied by kron(gate, I_R)^T, one BLAS call of
+    2R multiply-adds per amplitude.  No temporary exceeds a piece.
+    """
+    run = 1 << (state.ndim - q - 1)
+    if run > _MATMUL_MAX_RUN:
+        _apply_1q_sliced(state, gate, q)
+        return
+    if not state.flags.c_contiguous:  # reshape would copy: writes would be lost
+        raise ValueError("the state must be C-contiguous")
+    rows = max(1, min(state.size, 1 << _PIECE_QUBITS) // (2 * run))
+    blocks = state.reshape(-1, rows, 2 * run)
+    if run <= _KRON_MAX_RUN:
+        right = np.kron(gate, np.eye(run)).T
+        tmp = np.empty_like(blocks[0])
+        for piece in blocks:
+            np.matmul(piece, right, out=tmp)
+            piece[...] = tmp
+        return
+    halves = np.empty((2, rows * run), dtype=state.dtype)
+    out = np.empty_like(halves)
+    for piece in blocks:
+        pairs = piece.reshape(rows, 2, run).transpose(1, 0, 2)
+        halves.reshape(2, rows, run)[...] = pairs
+        np.matmul(gate, halves, out=out)
+        pairs[...] = out.reshape(2, rows, run)
+
+
+def _apply_1q_sliced(state: np.ndarray, gate: np.ndarray, q: int) -> None:
     (g00, g01), (g10, g11) = gate
     n = state.ndim
     ga = gb = None

@@ -260,12 +260,6 @@ class Circuit:
     def cycle_gates(self, cycle: int) -> list[Gate]:
         return [g for g in self.gates if g.cycle == cycle]
 
-    def by_cycle(self) -> list[list[Gate]]:
-        out: list[list[Gate]] = [[] for _ in range(self.depth.cycles)]
-        for g in self.gates:
-            out[g.cycle].append(g)
-        return out
-
     def two_qubit_gates(self) -> list[Gate]:
         return [g for g in self.gates if len(g.qubits) == 2]
 

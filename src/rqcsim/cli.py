@@ -446,13 +446,17 @@ def _cmd_verify(args) -> int:
             f"verification needs the reference simulator; "
             f"{circuit.n} qubits exceeds its {oracle.MAX_QUBITS}-qubit cap")
     rng = np.random.Generator(np.random.PCG64(args.seed))
+    start = time.perf_counter()
     state = oracle.evolve(circuit, 0)
+    reference_s = time.perf_counter() - start
     fid = _fidelity(args)
     max_abs = 0.0
     max_rel = 0.0
+    engine_s = 0.0
     for _ in range(args.samples):
         out = int(rng.integers(0, circuit.N))
-        got, _stats = engine.amplitude(0, out, fidelity=fid)
+        got, stats = engine.amplitude(0, out, fidelity=fid)
+        engine_s += stats.seconds
         want = complex(state[out])
         diff = abs(got - want)
         max_abs = max(max_abs, diff)
@@ -462,6 +466,7 @@ def _cmd_verify(args) -> int:
     report = {"config": _config_echo(args, "verify", **plan_echo),
               "samples": args.samples, "max_abs_diff": max_abs,
               "max_rel_err": max_rel, "tolerance": args.tol,
+              "reference_s": reference_s, "engine_s": engine_s,
               "pass": bool(ok)}
     with _open_out(args) as fh:
         fh.write(json.dumps(report) + "\n")

@@ -170,6 +170,16 @@ class TestVerify:
         assert rep["pass"] is True
         assert rep["max_abs_diff"] <= 1e-8
 
+    def test_reports_reference_and_engine_seconds(self, circuit_file, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--circuit", str(circuit_file), "--samples", "3",
+            "--precision", "double",
+        )
+        assert code == 0
+        rep = json.loads(out.splitlines()[-1])
+        assert rep["reference_s"] > 0
+        assert rep["engine_s"] > 0
+
     def test_fails_with_impossible_tolerance(self, circuit_file, capsys):
         code, _, err = run(
             capsys, "verify", "--circuit", str(circuit_file), "--samples", "5",

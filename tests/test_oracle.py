@@ -6,11 +6,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rqcsim import _kernels, oracle
 from rqcsim.amplitude_engine import AmplitudeEngine
 from rqcsim.circuits import Circuit, DepthSpec, Gate, Lattice, generate_rqc
 from rqcsim.contraction_plan import grid_plan
+
+ONE_QUBIT = ("h", "t", "x_1_2", "y_1_2")
 
 I2 = np.eye(2, dtype=np.complex128)
 
@@ -221,6 +225,135 @@ class TestKernels:
                 else:
                     _kernels.apply_iswap(view, a, b)
                 assert np.abs(psi - want).max() <= 1e-14, (a, b)
+
+
+class TestApply1qBranches:
+    """apply_1q picks slices, a gathered 2x2 product or a kron product by
+    the run R = 2^(n-q-1) below its qubit.  On 14 qubits every position is
+    checked against an einsum over the (2,)*n view, with pieces of the
+    default size, several rows, and one row."""
+
+    N_QUBITS = 14
+
+    @pytest.fixture(autouse=True, params=[14, 8, 0])
+    def piece_qubits(self, request, monkeypatch):
+        monkeypatch.setattr(_kernels, "_PIECE_QUBITS", request.param)
+
+    def test_positions_reach_every_branch(self):
+        runs = [1 << (self.N_QUBITS - q - 1) for q in range(self.N_QUBITS)]
+        assert min(runs) <= _kernels._KRON_MAX_RUN
+        assert any(_kernels._KRON_MAX_RUN < r <= _kernels._MATMUL_MAX_RUN
+                   for r in runs)
+        assert max(runs) > _kernels._MATMUL_MAX_RUN
+
+    @pytest.mark.parametrize("name", [*ONE_QUBIT, "random"])
+    def test_every_position_matches_einsum(self, name):
+        n = self.N_QUBITS
+        rng = np.random.default_rng(17)
+        if name == "random":  # a fused run is a general 2x2
+            gate = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        else:
+            gate = oracle.GATE_MATRIX[name]
+        for q in range(n):
+            psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+            axes = list(range(n))
+            want = np.einsum(gate, [n, q], psi.reshape((2,) * n), axes,
+                             [n if a == q else a for a in axes]).ravel()
+            _kernels.apply_1q(psi.reshape((2,) * n), gate, q)
+            assert np.abs(psi - want).max() <= 1e-14, q
+
+    def test_refuses_a_non_contiguous_state(self):
+        psi = np.zeros((2,) * 7, dtype=np.complex128)[:, 0]
+        with pytest.raises(ValueError):
+            _kernels.apply_1q(psi, oracle.H, 5)
+
+
+def _lattice(n: int) -> Lattice:
+    return Lattice.rectangle(2, n // 2) if n in (4, 6) else Lattice.rectangle(1, n)
+
+
+def _circuit(lat: Lattice, ops) -> Circuit:
+    """Gates in the order given, each in the first cycle after the last
+    gate on its qubits."""
+    free = [0] * lat.n
+    gates = []
+    for name, qubits in ops:
+        cycle = max(free[q] for q in qubits)
+        gates.append(Gate(cycle, name, qubits))
+        for q in qubits:
+            free[q] = cycle + 1
+    return Circuit(lat, DepthSpec(max(0, max(free, default=0) - 2)), gates)
+
+
+@st.composite
+def hand_built_circuits(draw):
+    n = draw(st.integers(2, 6))
+    lat = _lattice(n)
+    edges = lat.edges()
+    ops = []
+    for _ in range(draw(st.integers(0, 14))):
+        kind = draw(st.sampled_from(ONE_QUBIT + ("cz", "iswap")))
+        if kind in ONE_QUBIT:
+            ops.append((kind, (draw(st.integers(0, n - 1)),)))
+        else:
+            a, b = draw(st.sampled_from(edges))
+            ops.append((kind, draw(st.sampled_from([(a, b), (b, a)]))))
+    return _circuit(lat, ops), draw(st.integers(0, (1 << n) - 1))
+
+
+class TestFusedEvolve:
+    """evolve fuses one-qubit runs and starts from a product state; every
+    circuit must still give the dense unitary's column."""
+
+    @staticmethod
+    def check(circ: Circuit, in_idx: int = 0):
+        want = dense_unitary(circ)[:, in_idx]
+        bits = oracle.index_to_bits(in_idx, circ.n)
+        for arg in (in_idx, bits):
+            got = oracle.evolve(circ, arg)
+            assert np.abs(got - want).max() <= 1e-13, arg
+
+    @settings(max_examples=60, deadline=None)
+    @given(hand_built_circuits())
+    def test_random_circuits_match_dense_unitary(self, case):
+        self.check(*case)
+
+    def test_no_two_qubit_gate(self):
+        ops = [("h", (0,)), ("t", (0,)), ("x_1_2", (1,)), ("y_1_2", (2,)),
+               ("t", (2,)), ("h", (1,))]
+        self.check(_circuit(_lattice(3), ops), 5)
+
+    def test_qubit_without_gates(self):
+        ops = [("h", (0,)), ("cz", (0, 1)), ("x_1_2", (1,)), ("iswap", (0, 1))]
+        self.check(_circuit(_lattice(3), ops), 0b011)
+
+    def test_first_gate_two_qubit(self):
+        ops = [("h", (0,)), ("iswap", (1, 2)), ("y_1_2", (2,)), ("cz", (0, 1)),
+               ("t", (1,))]
+        self.check(_circuit(_lattice(3), ops), 0b010)
+
+    def test_t_run_stays_before_iswap(self, monkeypatch):
+        ops = [("h", (0,)), ("y_1_2", (1,)), ("cz", (0, 1)),
+               ("t", (0,)), ("t", (0,)), ("t", (0,)), ("iswap", (0, 1)),
+               ("h", (0,)), ("h", (1,))]
+        circ = _circuit(_lattice(2), ops)
+        diag = []
+        real = _kernels.apply_diag
+        monkeypatch.setattr(_kernels, "apply_diag",
+                            lambda v, qs, ph: (diag.append((qs, ph)), real(v, qs, ph)))
+        self.check(circ)
+        # the three Ts are one phase e^{3i pi/4}, on half of the state
+        assert ((0,), pytest.approx(np.exp(3j * np.pi / 4))) in diag
+
+    def test_peak_memory_on_grid4x5(self):
+        circ = generate_rqc(Lattice.named("grid:4x5"), "1+24+1", seed=0)
+        tracemalloc.start()
+        try:
+            state = oracle.evolve(circ)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * state.nbytes
 
 
 class TestAmplitudeAndDistribution:
