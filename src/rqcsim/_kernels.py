@@ -26,23 +26,9 @@ import numpy as np
 
 try:
     import numba
-    from numba import njit, prange
-
-    _HAVE_NUMBA = True
 except ImportError:  # pragma: no cover - exercised only on stripped installs
     numba = None
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-    prange = range
-
+_HAVE_NUMBA = numba is not None
 
 _ENV_BACKEND = os.environ.get("RQCSIM_BACKEND", "").strip().lower()
 if _ENV_BACKEND not in ("", "numba", "numpy"):
@@ -106,24 +92,24 @@ class _thread_scope:
 # relocates whole rows (contiguous blocks of d_gamma entries) according to
 # row_map; a right move reorders entries inside each row according to
 # col_map.  Maps always follow gather convention: out[i] = in[map[i]].
+# The numba kernels exist only where numba imports.
 # ---------------------------------------------------------------------------
 
+if _HAVE_NUMBA:  # pragma: no cover - jitted
+    @numba.njit(cache=True, parallel=True)
+    def _l_move_numba(src, dst, row_map, d_gamma):
+        n_rows = row_map.shape[0]
+        for i in numba.prange(n_rows):
+            s = row_map[i] * d_gamma
+            t = i * d_gamma
+            dst[t:t + d_gamma] = src[s:s + d_gamma]
 
-@njit(cache=True, parallel=True)
-def _l_move_numba(src, dst, row_map, d_gamma):  # pragma: no cover - jitted
-    n_rows = row_map.shape[0]
-    for i in prange(n_rows):
-        s = row_map[i] * d_gamma
-        t = i * d_gamma
-        dst[t:t + d_gamma] = src[s:s + d_gamma]
-
-
-@njit(cache=True, parallel=True)
-def _r_move_numba(src, dst, col_map, d_gamma, n_rows):  # pragma: no cover
-    for i in prange(n_rows):
-        base = i * d_gamma
-        for j in range(d_gamma):
-            dst[base + j] = src[base + col_map[j]]
+    @numba.njit(cache=True, parallel=True)
+    def _r_move_numba(src, dst, col_map, d_gamma, n_rows):
+        for i in numba.prange(n_rows):
+            base = i * d_gamma
+            for j in range(d_gamma):
+                dst[base + j] = src[base + col_map[j]]
 
 
 def _l_move_numpy(src, dst, row_map, d_gamma):

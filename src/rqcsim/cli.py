@@ -575,6 +575,13 @@ def _cmd_bench_permute(args) -> int:
     else:
         gammas = _parse_int_list(text)
     threads = _parse_int_list(args.threads)
+    if any(not 2 <= g <= args.rank - 2 for g in gammas):
+        raise UsageError(f"--gammas must lie in [2, rank - 2] = "
+                         f"[2, {args.rank - 2}]")
+    if args.repeats < 1:
+        raise UsageError("--repeats must be >= 1")
+    if any(t < 1 for t in threads):
+        raise UsageError("--threads must be >= 1")
     rows = benchmark_permute(rank=args.rank, gammas=gammas,
                              thread_counts=threads, repeats=args.repeats,
                              compare_backends=args.compare_backends,

@@ -28,15 +28,18 @@ annotations are declarative claims checked against the computed
 dependency sets: ``global`` promises independence from every cut,
 ``outer`` promises independence from at least the innermost one.
 
-One symbolic walk over the plan's shapes prices it: flops per step and
-over the whole path space, and a bound on the bytes the executor holds
-at once.  :func:`estimate_cost` runs it on shapes derived from the
-lattice and depth, :class:`PlanExecutor` on the shapes of its network, so
-a plan accepted under a memory budget also runs under it.  The same walk
-compiles the plan (:class:`Compiled`): each fold's operand slots and its
+One symbolic walk over the plan's program and site shapes validates,
+prices and compiles it.  It checks the plan against the lattice and the
+network's site tensors, derives each cut's loop length and each step's
+dependency set, prices flops per step and over the whole path space and
+a bound on the bytes the executor holds at once, and compiles the plan
+(:class:`Compiled`): each fold's operand slots and its
 :class:`~rqcsim.tensor_core.Route`, and each sliced site tensor's axes.
-Memoized per network shape, it lets the executor run every path on bare
-arrays, fixing cut values by basic indexing (views) rather than copies.
+:func:`estimate_cost` runs it on shapes derived from the lattice and
+depth, :class:`PlanExecutor` on the shapes of its network, so a plan
+accepted under a memory budget also runs under it.  Memoized per network
+shape, it lets the executor run every path on bare arrays, fixing cut
+values by basic indexing (views) rather than copies.
 
 ``builtin_plan`` builds every lattice's plan from three regions and a set
 of cut bonds: a balanced split across the waist of any rectangle, and for
@@ -140,15 +143,6 @@ class ContractionPlan:
             if kind == "contract":
                 yield payload
 
-    def site_ids(self) -> set[int]:
-        """All site tensors referenced by the program."""
-        sites = set()
-        for step in self.steps():
-            for name in step.inputs:
-                if _SITE_RE.fullmatch(name):
-                    sites.add(int(name[1:]))
-        return sites
-
     def cut_dims(self, bond_dims: dict[tuple[int, int], int]) -> tuple[int, ...]:
         """Loop lengths per cut, given per-bond dimensions."""
         dims = []
@@ -173,138 +167,9 @@ class ContractionPlan:
                 return step.name
         return None
 
-    def analyze(self, lattice: Lattice) -> "PlanAnalysis":
-        return _analyze(self, lattice)
-
-
-@dataclass
-class PlanAnalysis:
-    """Static facts about a validated plan (dependencies, loop nesting)."""
-
-    site_cuts: dict[int, tuple[int, ...]]  # site id -> cut indexes slicing it
-    step_deps: dict[str, tuple[int, ...]]  # step name -> cut indexes it depends on
-
 
 _SITE_RE = re.compile(r"t(\d+)")
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-
-
-def _analyze(plan: ContractionPlan, lattice: Lattice) -> PlanAnalysis:
-    """Validate ``plan`` against ``lattice`` and compute dependency sets."""
-    if len(set(plan.cut_names)) != len(plan.cuts):
-        raise PlanError("duplicate cut names")
-    cut_index = {c.name: i for i, c in enumerate(plan.cuts)}
-
-    site_cuts: dict[int, list[int]] = {}
-    seen_bonds = set()
-    for i, cut in enumerate(plan.cuts):
-        for a, b in cut.bonds:
-            absent = [s for s in (a, b) if not 0 <= s < lattice.n]
-            if absent:
-                raise PlanError(f"cut {cut.name!r}: {a}:{b} is not a lattice "
-                                f"bond ({lattice.kind} has no site {absent[0]})")
-            if not lattice.adjacent(a, b):
-                raise PlanError(f"cut {cut.name!r}: {a}:{b} is not a lattice bond")
-            if (a, b) in seen_bonds:
-                raise PlanError(f"bond {a}:{b} appears in two cuts")
-            seen_bonds.add((a, b))
-            site_cuts.setdefault(a, []).append(i)
-            site_cuts.setdefault(b, []).append(i)
-
-    opened: list[int] = []
-    defined: dict[str, tuple[int, ...]] = {}
-    consumed_sites: set[int] = set()
-    step_deps: dict[str, tuple[int, ...]] = {}
-    produced_by: dict[str, ContractStep] = {}
-    used: set[str] = set()
-    output_name = None
-
-    for kind, payload in plan.program:
-        if kind == "loop":
-            if payload not in cut_index:
-                raise PlanError(f"loop over undeclared cut {payload!r}")
-            idx = cut_index[payload]
-            if opened and idx <= opened[-1]:
-                raise PlanError("loops must open cuts in declaration order")
-            opened.append(idx)
-        elif kind == "contract":
-            step = payload
-            if output_name is not None:
-                raise PlanError("contract step after output")
-            if step.name in defined or _SITE_RE.fullmatch(step.name):
-                raise PlanError(f"name {step.name!r} already defined")
-            deps: set[int] = set()
-            for name in step.inputs:
-                m = _SITE_RE.fullmatch(name)
-                if m:
-                    site = int(m.group(1))
-                    if not 0 <= site < lattice.n:
-                        raise PlanError(f"step {step.name!r}: {lattice.kind} "
-                                        f"has no site {site}")
-                    if site in consumed_sites:
-                        raise PlanError(f"site tensor t{site} consumed twice")
-                    consumed_sites.add(site)
-                    deps.update(site_cuts.get(site, ()))
-                elif name in defined:
-                    deps.update(defined[name])
-                    used.add(name)
-                else:
-                    raise PlanError(f"step {step.name!r}: undefined input {name!r}")
-            if not deps.issubset(opened):
-                missing = [plan.cuts[i].name for i in sorted(deps - set(opened))]
-                raise PlanError(
-                    f"step {step.name!r} uses cut tensors before loop(s) "
-                    f"{missing} are open"
-                )
-            if step.reuse == "global" and deps:
-                raise PlanError(f"step {step.name!r} marked global but depends on cuts")
-            if step.reuse == "outer" and len(deps) >= len(plan.cuts):
-                raise PlanError(
-                    f"step {step.name!r} marked outer but depends on every cut"
-                )
-            defined[step.name] = tuple(sorted(deps))
-            step_deps[step.name] = defined[step.name]
-            produced_by[step.name] = step
-        elif kind == "output":
-            if payload not in defined:
-                raise PlanError(f"output references undefined name {payload!r}")
-            if output_name is not None:
-                raise PlanError("plan has two output statements")
-            output_name = payload
-            used.add(payload)
-        else:  # pragma: no cover - parser never emits other kinds
-            raise PlanError(f"unknown statement kind {kind!r}")
-
-    if output_name is None:
-        raise PlanError("plan has no output statement")
-    if len(opened) != len(plan.cuts):
-        unlooped = [c.name for i, c in enumerate(plan.cuts) if i not in opened]
-        raise PlanError(f"cuts never looped: {unlooped}")
-
-    # Every defined intermediate must feed the output, and the output must
-    # see every consumed site: anything dangling means a mis-typed plan.
-    reach = set()
-    stack = [output_name]
-    while stack:
-        name = stack.pop()
-        if name in reach:
-            continue
-        reach.add(name)
-        step = produced_by.get(name)
-        if step is not None:
-            stack.extend(n for n in step.inputs if not _SITE_RE.fullmatch(n))
-    dangling = set(defined) - reach
-    if dangling:
-        raise PlanError(f"intermediates never used by output: {sorted(dangling)}")
-
-    for site in set(plan.batch_sites):
-        if not 0 <= site < lattice.n:
-            raise PlanError(f"batch region references missing site {site}")
-
-    return PlanAnalysis(
-        site_cuts={s: tuple(v) for s, v in site_cuts.items()},
-        step_deps=step_deps,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +304,9 @@ def enumerate_paths(cut_dims: Sequence[int], f: float = 1.0,
 class PlanExecutor:
     """Runs a plan against a 2D network, one path at a time.
 
-    At construction it prices and compiles the plan with the shape walk
-    of :func:`estimate_cost`, fed the shapes and dtype of ``net`` itself:
+    At construction it validates, prices and compiles the plan with the
+    shape walk of :func:`estimate_cost`, fed the shapes and dtype of
+    ``net`` itself (the cut lengths ``cut_dims`` come from it too):
     ``peak_bytes`` is the walk's bound on the live set, a plan over
     ``memory_budget`` is refused before anything is contracted, and the
     thread's operand scratch is trimmed to the walk's price for it.
@@ -455,12 +321,12 @@ class PlanExecutor:
                  thread_count: int = 1, memory_budget: Optional[int] = None,
                  trace: bool = False):
         self.thread_count = thread_count
-        self.cut_dims = plan.cut_dims(net.bond_dim)
         cost, self._compiled = _priced(
             plan, net.circuit.lattice,
             tuple((s, tuple(zip(t.labels, t.dims))) for s, t in net.tensors.items()),
-            self.cut_dims, max(t.array.itemsize for t in net.tensors.values()),
+            max(t.array.itemsize for t in net.tensors.values()),
             _kernels.get_backend())
+        self.cut_dims = self._compiled.cut_dims
         if memory_budget is not None and cost.peak_bytes > memory_budget:
             raise MemoryBudgetError(
                 f"plan needs ~{cost.peak_bytes} bytes, budget is {memory_budget}")
@@ -569,20 +435,27 @@ class Compiled(NamedTuple):
     ``src``, or for a sliced site tensor from the view that ``cut = (index,
     axes)`` selects (each ``(axis, cut, digits)`` sets ``index[axis]`` to
     ``digits[path[cut]]``), folds in each ``(slot, route, (labels,
-    labels))`` and stores the result in slot ``dst``."""
+    labels))`` and stores the result in slot ``dst``.  ``cut_dims`` are
+    the loop lengths."""
 
     reruns: tuple
     out_labels: tuple[str, ...]
+    cut_dims: tuple[int, ...]
 
 
-def _walk(plan: ContractionPlan, analysis: PlanAnalysis,
-          shapes: dict[int, dict[str, int]], cut_dims: Sequence[int],
+def _walk(plan: ContractionPlan, lattice: Lattice,
+          shapes: dict[int, dict[str, int]],
           itemsize: int) -> tuple[CostEstimate, Compiled]:
-    """Fold the plan's shapes (site -> label -> dim, in the site tensor's
-    index order) through :func:`route`, the way the executor folds its
-    tensors, price every step and the live set, and compile the plan.
+    """Validate, price and compile ``plan`` in one pass over its program.
 
-    The plan must consume every site tensor of ``shapes`` and no other.
+    The plan is checked against ``lattice`` and the network's site shapes
+    (site -> label -> dim, in the site tensor's index order): it must
+    consume every site tensor of ``shapes`` and no other, and each cut's
+    loop length is its value count or its bonds' dimensions there.  Each
+    step's dependency set is the cuts its inputs depend on.  The walk
+    folds the shapes through :func:`route`, the way the executor folds its
+    tensors, pricing every step and the live set as it goes.
+
     Flops follow the 8-real-ops-per-complex-multiply-add convention for
     each pairwise matrix product.  A step reruns whenever a loop at or
     outside its innermost dependency ticks.  The peak bounds, in bytes,
@@ -596,30 +469,60 @@ def _walk(plan: ContractionPlan, analysis: PlanAnalysis,
     place (:func:`~rqcsim.tensor_core.permute_fast`); a slice is priced as
     a copy held, so the peak stays an upper bound.
     """
-    consumed = plan.site_ids()
-    missing = set(shapes) - consumed
-    if missing:
-        raise PlanError(f"plan never consumes site tensors {sorted(missing)}")
-    extra = consumed - set(shapes)
-    if extra:
-        raise PlanError(f"plan references absent site tensors {sorted(extra)}")
+    if len(set(plan.cut_names)) != len(plan.cuts):
+        raise PlanError("duplicate cut names")
+    cut_index = {c.name: i for i, c in enumerate(plan.cuts)}
+    site_cuts: dict[int, list[int]] = {}  # site -> cuts slicing it
+    bond_dims: dict[tuple[int, int], int] = {}
+    for i, cut in enumerate(plan.cuts):
+        for a, b in cut.bonds:
+            absent = [s for s in (a, b) if not 0 <= s < lattice.n]
+            if absent:
+                raise PlanError(f"cut {cut.name!r}: {a}:{b} is not a lattice "
+                                f"bond ({lattice.kind} has no site {absent[0]})")
+            if not lattice.adjacent(a, b):
+                raise PlanError(f"cut {cut.name!r}: {a}:{b} is not a lattice bond")
+            if (a, b) in bond_dims:
+                raise PlanError(f"bond {a}:{b} appears in two cuts")
+            bond_dims[a, b] = shapes.get(a, {}).get(edge_label(a, b), 1)
+            site_cuts.setdefault(a, []).append(i)
+            site_cuts.setdefault(b, []).append(i)
+    cut_dims = plan.cut_dims(bond_dims)
 
-    def bond_dim(bond: tuple[int, int]) -> int:
-        return shapes.get(bond[0], {}).get(edge_label(*bond), 1)
-
-    for cut in plan.cuts:
-        if any(not 0 <= v < math.prod(map(bond_dim, cut.bonds))
-               for v in cut.values or ()):
-            raise PlanError(f"cut {cut.name!r} values out of range")
     slot = {f"t{s}": i for i, s in enumerate(shapes)}
+    opened: list[int] = []
+    consumed: set[int] = set()
+    output = None
     cached = slices = transient = 0
     scratch = ([0, 0], [0, 0])  # side (left, right) -> slot -> entries
     steps: list[StepCost] = []
     schedule: list[tuple[int, tuple]] = []  # (innermost cut, entry)
-    folded: dict[str, dict[str, int]] = {}
+    folded: dict[str, tuple[dict[str, int], set[int]]] = {}  # shape, deps
 
-    for k, step in enumerate(plan.steps()):
+    for kind, payload in plan.program:
+        if kind == "loop":
+            if payload not in cut_index:
+                raise PlanError(f"loop over undeclared cut {payload!r}")
+            if opened and cut_index[payload] <= opened[-1]:
+                raise PlanError("loops must open cuts in declaration order")
+            opened.append(cut_index[payload])
+            continue
+        if kind == "output":
+            if payload not in folded:
+                raise PlanError(f"output references undefined name {payload!r}")
+            if output is not None:
+                raise PlanError("plan has two output statements")
+            output = payload
+            continue
+        if kind != "contract":  # pragma: no cover - parser never emits others
+            raise PlanError(f"unknown statement kind {kind!r}")
+        step = payload
+        if output is not None:
+            raise PlanError("contract step after output")
+        if step.name in folded or _SITE_RE.fullmatch(step.name):
+            raise PlanError(f"name {step.name!r} already defined")
         acc: Optional[dict[str, int]] = None
+        deps: set[int] = set()
         flops = 0
         fresh = 0  # entries of the accumulator, once this step made it
         folds = []
@@ -627,14 +530,24 @@ def _walk(plan: ContractionPlan, analysis: PlanAnalysis,
             m = _SITE_RE.fullmatch(name)
             if m:
                 site = int(m.group(1))
+                if not 0 <= site < lattice.n:
+                    raise PlanError(f"step {step.name!r}: {lattice.kind} "
+                                    f"has no site {site}")
+                if site in consumed:
+                    raise PlanError(f"site tensor t{site} consumed twice")
+                if site not in shapes:
+                    raise PlanError(f"plan references absent site tensors "
+                                    f"[{site}]")
+                consumed.add(site)
+                deps.update(site_cuts.get(site, ()))
                 operand = dict(shapes[site])
                 axis = {label: p for p, label in enumerate(operand)}
                 sizes = []  # entries after each fix, in slicing order
                 fixes = []
-                for i in analysis.site_cuts.get(site, ()):
+                for i in site_cuts.get(site, ()):
                     cut, stride = plan.cuts[i], 1
                     for bond in reversed(cut.bonds):
-                        label, dim = edge_label(*bond), bond_dim(bond)
+                        label, dim = edge_label(*bond), bond_dims[bond]
                         if operand.pop(label, None) is not None:
                             sizes.append(math.prod(operand.values()))
                             fixes.append((axis[label], i, tuple(
@@ -647,8 +560,11 @@ def _walk(plan: ContractionPlan, analysis: PlanAnalysis,
                     index = (slice(None),) * len(shapes[site]) + (Ellipsis,)
                     schedule.append((fixes[-1][1], (slot[name], slot[name], (
                         index, tuple(fixes)), (), 0)))
+            elif name in folded:
+                operand, input_deps = folded[name]
+                deps.update(input_deps)
             else:
-                operand = folded[name]
+                raise PlanError(f"step {step.name!r}: undefined input {name!r}")
             if acc is None:
                 acc, first = operand, slot[name]
                 continue
@@ -666,14 +582,48 @@ def _walk(plan: ContractionPlan, analysis: PlanAnalysis,
             fresh = out
             folds.append((slot[name], r, (tuple(acc), tuple(operand))))
             acc = dict(zip(r.labels, r.dims))
-        folded[step.name] = acc
-        slot[step.name] = len(shapes) + k
+        if not deps.issubset(opened):
+            missing = [plan.cuts[i].name for i in sorted(deps - set(opened))]
+            raise PlanError(f"step {step.name!r} uses cut tensors before "
+                            f"loop(s) {missing} are open")
+        if step.reuse == "global" and deps:
+            raise PlanError(f"step {step.name!r} marked global but depends on cuts")
+        if step.reuse == "outer" and len(deps) >= len(plan.cuts):
+            raise PlanError(f"step {step.name!r} marked outer but depends on "
+                            f"every cut")
+        folded[step.name] = acc, deps
+        slot[step.name] = len(shapes) + len(steps)
         cached += math.prod(acc.values())
-        deps = analysis.step_deps[step.name]
         inner = max(deps, default=-1)
-        steps.append(StepCost(step.name, flops, math.prod(cut_dims[:inner + 1])))
-        schedule.append((inner, (len(shapes) + k, first, None, tuple(folds),
+        schedule.append((inner, (slot[step.name], first, None, tuple(folds),
                                  flops)))
+        steps.append(StepCost(step.name, flops, math.prod(cut_dims[:inner + 1])))
+
+    if output is None:
+        raise PlanError("plan has no output statement")
+    if len(opened) != len(plan.cuts):
+        unlooped = [c.name for i, c in enumerate(plan.cuts) if i not in opened]
+        raise PlanError(f"cuts never looped: {unlooped}")
+    # Every intermediate must feed the output: anything dangling means a
+    # mis-typed plan.
+    reach = {output}
+    for step in reversed(tuple(plan.steps())):
+        if step.name in reach:
+            reach.update(step.inputs)
+    dangling = set(folded) - reach
+    if dangling:
+        raise PlanError(f"intermediates never used by output: {sorted(dangling)}")
+    for site in plan.batch_sites:
+        if not 0 <= site < lattice.n:
+            raise PlanError(f"batch region references missing site {site}")
+    missing = set(shapes) - consumed
+    if missing:
+        raise PlanError(f"plan never consumes site tensors {sorted(missing)}")
+    for cut in plan.cuts:
+        if any(not 0 <= v < math.prod(bond_dims[b] for b in cut.bonds)
+               for v in cut.values or ()):
+            raise PlanError(f"cut {cut.name!r} values out of range")
+
     left, right = (sum(held) * itemsize for held in scratch)
     reruns = tuple(tuple(entry for inner, entry in schedule if inner >= outer)
                    for outer in range(-1, len(cut_dims) + 1))
@@ -681,16 +631,15 @@ def _walk(plan: ContractionPlan, analysis: PlanAnalysis,
                         sum(sc.flops * sc.evaluations for sc in steps),
                         (cached + slices + transient) * itemsize + left + right,
                         tuple(steps), (left, right)), \
-        Compiled(reruns, tuple(acc))
+        Compiled(reruns, tuple(acc), cut_dims)
 
 
 @functools.lru_cache(maxsize=32)
 def _priced(plan: ContractionPlan, lattice: Lattice,
             shapes: tuple[tuple[int, tuple[tuple[str, int], ...]], ...],
-            cut_dims: tuple[int, ...], itemsize: int,
-            backend: str) -> tuple[CostEstimate, Compiled]:
-    """Validate ``plan`` against a network's lattice and site shapes
-    (site, ((label, dim), ...)), then price and compile it (:func:`_walk`).
+            itemsize: int, backend: str) -> tuple[CostEstimate, Compiled]:
+    """:func:`_walk` on a network's site shapes (site, ((label, dim),
+    ...)).
 
     Every executor built on networks of one shape -- each batch of a
     sampling run, each amplitude of one circuit -- gets the same answer,
@@ -699,8 +648,7 @@ def _priced(plan: ContractionPlan, lattice: Lattice,
     depends on the active kernel backend too (:func:`workspace_slots`), so
     ``backend`` names it in the memo key.
     """
-    return _walk(plan, plan.analyze(lattice), {s: dict(ls) for s, ls in shapes},
-                 cut_dims, itemsize)
+    return _walk(plan, lattice, {s: dict(ls) for s, ls in shapes}, itemsize)
 
 
 def estimate_cost(plan: ContractionPlan, lattice: Lattice, depth, *,
@@ -717,10 +665,9 @@ def estimate_cost(plan: ContractionPlan, lattice: Lattice, depth, *,
     exactly: ``total_flops`` is what the executor counts over every path,
     and ``peak_bytes`` is its ``peak_bytes``.
     """
-    shapes, bond_dims = site_shapes(lattice, DepthSpec.parse(depth).t,
-                                    two_qubit_gate, open_sites)
-    return _walk(plan, plan.analyze(lattice), shapes, plan.cut_dims(bond_dims),
-                 itemsize)[0]
+    shapes, _ = site_shapes(lattice, DepthSpec.parse(depth).t,
+                            two_qubit_gate, open_sites)
+    return _walk(plan, lattice, shapes, itemsize)[0]
 
 
 # ---------------------------------------------------------------------------

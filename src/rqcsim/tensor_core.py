@@ -15,11 +15,10 @@ most three *moves* that keep memory traffic sequential:
 Any permutation factors as L-R-L for reasonable (mu, nu); most factor
 shorter.  The gather maps are exponentially smaller than the tensor
 (2^(k-gamma) or 2^gamma entries instead of 2^k), so they are memoized.
-On the numpy kernel backend each move is a full ``np.take`` pass, so a
-plan of two or more moves runs as one strided ``np.transpose`` copy
-instead (byte-identical, one pass); so does a single L move, its
-untouched trailing blocks viewed as opaque items.  Single R moves keep
-the move kernel.
+On the numpy kernel backend each move is a full ``np.take`` pass, so
+every plan that moves data, except a single R move, runs as one strided
+``np.transpose`` copy instead (byte-identical, one pass).  Single R moves
+keep the move kernel.
 
 Pairwise contraction is transpose-transpose-GEMM, minus the copy of the
 larger operand wherever its layout allows.  When the shared labels form one
@@ -326,8 +325,8 @@ def permute_fast(array: np.ndarray, plan: PermutePlan, thread_count: int = 1,
 
     With no data movement needed the input is returned as-is (copied
     only if it is a non-contiguous view).  A plan without a move
-    decomposition, a non-contiguous input, and on the numpy backend a plan
-    of two or more moves, run as one strided transpose; on numba any
+    decomposition, a non-contiguous input, and on the numpy backend every
+    plan but a single R move, run as one strided transpose; on numba any
     number of moves ping-pongs between two buffers.  When a
     workspace is supplied the result aliases one of its buffers and is
     only valid until the next call that reuses it; otherwise it is a fresh
@@ -339,8 +338,9 @@ def permute_fast(array: np.ndarray, plan: PermutePlan, thread_count: int = 1,
 
     a = array.reshape(plan.dims)
     ws = workspace if workspace is not None else Workspace()
-    if plan.fallback is not None or not a.flags.c_contiguous or \
-            (slots == 1 and len(plan.moves) > 1):
+    if plan.fallback is not None or not a.flags.c_contiguous or (
+            _kernels.get_backend() == "numpy" and
+            (len(plan.moves) > 1 or plan.moves[0].kind == "L")):
         out = ws.take(a.size, a.dtype, 0).reshape(plan.out_dims)
         np.copyto(out, np.transpose(a, plan.perm))
         return out
@@ -355,16 +355,8 @@ def permute_fast(array: np.ndarray, plan: PermutePlan, thread_count: int = 1,
             group_dims = tuple(cur_dims[:g])
             d_gamma = math.prod(cur_dims[g:])
             cur_dims[:g] = [group_dims[p] for p in mv.group_perm]
-            if _kernels.get_backend() == "numpy":
-                # Each untouched trailing block is one opaque item, so the
-                # move is one strided transpose of whole blocks.
-                block = np.dtype((np.void, d_gamma * cur.itemsize))
-                np.copyto(dst.view(block).reshape(cur_dims[:g]),
-                          cur.view(block).reshape(group_dims)
-                          .transpose(mv.group_perm))
-            else:
-                row_map = _gather_map(group_dims, mv.group_perm)
-                _kernels.l_move(cur, dst, row_map, d_gamma, thread_count)
+            row_map = _gather_map(group_dims, mv.group_perm)
+            _kernels.l_move(cur, dst, row_map, d_gamma, thread_count)
         else:
             g = k - mv.gamma
             group_dims = tuple(cur_dims[g:])
@@ -408,9 +400,6 @@ class Tensor:
 
     def dim_of(self, label: str) -> int:
         return self.array.shape[self.labels.index(label)]
-
-    def relabel(self, mapping: dict) -> "Tensor":
-        return Tensor(tuple(mapping.get(l, l) for l in self.labels), self.array)
 
     def fix(self, label: str, value: int) -> "Tensor":
         """Slice one index to a fixed value, dropping it."""
@@ -594,8 +583,16 @@ def benchmark_permute(rank: int = 20,
     indexes -- the baseline each move pass replaces.  Returns rows with keys
     (op, rank, gamma, threads, median_ns, p10_ns, p90_ns).  With
     ``compare_backends`` both kernel backends are timed and the op name
-    carries a ``/numba`` or ``/numpy`` suffix.
+    carries a ``/numba`` or ``/numpy`` suffix.  Each gamma must leave at
+    least two indexes on each side (2 <= gamma <= rank - 2), so both moves
+    have indexes to permute.
     """
+    gammas, thread_counts = tuple(gammas), tuple(thread_counts)
+    if any(not 2 <= g <= rank - 2 for g in gammas):
+        raise ValueError(f"gammas must lie in [2, rank - 2], got {gammas} "
+                         f"for rank {rank}")
+    if repeats < 1 or any(t < 1 for t in thread_counts):
+        raise ValueError("repeats and thread counts must be >= 1")
     dims = (2,) * rank
     rng = np.random.Generator(np.random.PCG64(seed))
     x = (rng.standard_normal(1 << rank) + 1j * rng.standard_normal(1 << rank))

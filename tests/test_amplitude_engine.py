@@ -138,21 +138,20 @@ class TestBatch:
 
     def test_batches_share_one_pricing(self, engine_4x4, state_4x4_t16,
                                        monkeypatch):
-        """Batches of one shape validate and price the plan once, while
-        each batch's executor starts with empty step and site caches."""
+        """Batches of one shape validate and price the plan once, in one
+        walk, while each batch's executor starts with empty step and site
+        caches."""
         calls = []
-        for name in ("_analyze", "_walk"):
-            fn = getattr(contraction_plan, name)
-            monkeypatch.setattr(
-                contraction_plan, name,
-                lambda *a, _fn=fn, _name=name, **k: calls.append(_name) or _fn(*a, **k))
+        walk = contraction_plan._walk
+        monkeypatch.setattr(contraction_plan, "_walk",
+                            lambda *a, **k: calls.append("_walk") or walk(*a, **k))
         contraction_plan._priced.cache_clear()
         c_sites = engine_4x4.plan.batch_sites
         rng = np.random.default_rng(7)
         batches = [engine_4x4.amplitude_batch(0, int(rng.integers(2 ** 16)),
                                               c_sites, 8, seed=i)
                    for i in range(20)]
-        assert calls == ["_analyze", "_walk"]
+        assert calls == ["_walk"]
         est = estimate_cost(engine_4x4.plan, engine_4x4.circuit.lattice, "1+16+1",
                             open_sites=c_sites, itemsize=16)
         for batch in batches:

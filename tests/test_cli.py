@@ -282,6 +282,25 @@ class TestBench:
         assert rows[0].startswith("op,")
         assert any(r.startswith("lmove") for r in rows)
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["--rank", "6", "--gammas", "5"], "--gammas"),
+        (["--gammas", "1"], "--gammas"),
+        (["--rank", "0"], "--gammas"),
+        (["--repeats", "0"], "--repeats"),
+        (["--threads", "0"], "--threads"),
+        (["--threads", "1,-2"], "--threads"),
+    ])
+    def test_permute_out_of_range_is_1(self, capsys, monkeypatch, argv, flag):
+        """Refused before any timing: a body of fewer than two indexes
+        left the random permutation drawing forever."""
+        def unreachable(**kwargs):
+            raise AssertionError("benchmark ran")
+
+        monkeypatch.setattr(cli, "benchmark_permute", unreachable)
+        code, out, err = run(capsys, "bench", "permute", *argv)
+        assert code == 1 and not out
+        assert err.startswith("error:") and flag in err
+
 
 class TestMemoryBudget:
     """The budget prices the run that happens: its precision and the

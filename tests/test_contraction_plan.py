@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import re
 import threading
 import tracemalloc
 
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rqcsim import _kernels, contraction_plan, oracle, tensor_core
+from rqcsim import _kernels, cli, contraction_plan, oracle, tensor_core
 from rqcsim.circuits import Lattice, generate_rqc
 from rqcsim.contraction_plan import (
     ContractionPlan,
@@ -768,6 +769,100 @@ class TestPlanValidation:
         net = closed_net(generate_rqc(lat, "1+8+1", seed=0))
         with pytest.raises(PlanError, match=r"never consumes site tensors \[8\]"):
             PlanExecutor(net, plan)
+
+
+# One malformed plan per PlanError the walk raises, each an edit of
+# grid:3x3's two-cut plan: (id, replacements applied in order, message).
+_GRID_3X3 = Lattice.named("grid:3x3")
+_TWO_CUTS = format_plan(grid_plan(_GRID_3X3, n_cuts=2))
+_MALFORMED = [
+    ("duplicate-cut", [("cut w1 4:5", "cut w0 4:5")], "duplicate cut names"),
+    ("bond-off-lattice", [("cut w1 4:5", "cut w1 4:9")],
+     "4:9 is not a lattice bond (grid:3x3 has no site 9)"),
+    ("bond-not-adjacent", [("cut w1 4:5", "cut w1 4:8")],
+     "4:8 is not a lattice bond"),
+    ("bond-in-two-cuts", [("cut w1 4:5", "cut w1 1:2")],
+     "bond 1:2 appears in two cuts"),
+    ("undeclared-loop", [("loop w1", "loop w9")],
+     "loop over undeclared cut 'w9'"),
+    ("loops-out-of-order", [("cut w0 1:2\ncut w1 4:5", "cut w1 4:5\ncut w0 1:2")],
+     "loops must open cuts in declaration order"),
+    ("step-after-output", [("output result", "output result\n"
+                                              "contract result -> extra")],
+     "contract step after output"),
+    ("redefined-name", [("-> B1", "-> A0")], "name 'A0' already defined"),
+    ("site-off-lattice", [("contract t0 ", "contract t99 t0 ")],
+     "grid:3x3 has no site 99"),
+    ("site-twice", [("contract t2 ", "contract t2 t1 ")],
+     "site tensor t1 consumed twice"),
+    ("undefined-input", [("contract A B ", "contract A X ")],
+     "undefined input 'X'"),
+    ("before-loop", [("contract t0 t3 t6 t7 ", "contract t0 t3 t6 t7 t4 "),
+                     ("contract A1 t4 ", "contract A1 ")],
+     "step 'A0' uses cut tensors before loop(s) ['w1'] are open"),
+    ("false-global", [("A1 reuse=outer", "A1 reuse=global")],
+     "step 'A1' marked global but depends on cuts"),
+    ("false-outer", [("-> A\n", "-> A reuse=outer\n")],
+     "step 'A' marked outer but depends on every cut"),
+    ("no-output", [("output result\n", "")], "plan has no output statement"),
+    ("two-outputs", [("output result", "output result\noutput result")],
+     "plan has two output statements"),
+    ("unlooped-cut", [("cut w1 4:5", "cut w1 4:5\ncut w2 5:8"),
+                      ("contract t8 -> C reuse=global\n", ""),
+                      ("contract B1 t5 ", "contract B1 "),
+                      ("contract AB C ", "contract AB ")],
+     "cuts never looped: ['w2']"),
+    ("dangling", [("contract AB C ", "contract AB ")],
+     "intermediates never used by output: ['C']"),
+    ("batch-off-lattice", [("batch 8", "batch 9")],
+     "batch region references missing site 9"),
+    ("missing-site", [("contract t8 -> C reuse=global\n", ""),
+                      ("contract AB C ", "contract AB ")],
+     "plan never consumes site tensors [8]"),
+    ("values-out-of-range", [("cut w0 1:2", "cut w0 1:2 values=0,99")],
+     "cut 'w0' values out of range"),
+]
+
+
+class TestMalformedPlans:
+    """The estimate, the executor and the CLI refuse each malformed plan
+    with the same message, from the one walk all three run."""
+
+    @pytest.mark.parametrize("edits,message", [
+        pytest.param(edits, message, id=name)
+        for name, edits, message in _MALFORMED])
+    def test_every_entry_point_raises_the_message(self, tmp_path, capsys,
+                                                  edits, message):
+        text = _TWO_CUTS
+        for old, new in edits:
+            assert old in text
+            text = text.replace(old, new)
+        plan = parse_plan(text)
+        with pytest.raises(PlanError, match=re.escape(message)):
+            estimate_cost(plan, _GRID_3X3, "1+8+1")
+        net = closed_net(generate_rqc(_GRID_3X3, "1+8+1", seed=0))
+        with pytest.raises(PlanError, match=re.escape(message)):
+            PlanExecutor(net, plan)
+        path = tmp_path / "bad.plan"
+        path.write_text(text)
+        code = cli.main(["amplitude", "--lattice", "grid:3x3", "--depth",
+                         "1+8+1", "--plan", str(path), "--out", "0" * 9])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error:") and message in err
+
+    def test_the_edited_plan_is_valid(self):
+        assert estimate_cost(parse_plan(_TWO_CUTS), _GRID_3X3, "1+8+1").paths > 1
+
+    def test_folded_site_is_absent(self):
+        """Bristlecone-72's folded corners have no site tensor to consume."""
+        lat = Lattice.named("bristlecone-72")
+        corner = lat.site_id((0, 5))
+        text = format_plan(builtin_plan(lat))
+        first = text.index("contract ") + len("contract ")
+        plan = parse_plan(text[:first] + f"t{corner} " + text[first:])
+        with pytest.raises(PlanError,
+                           match=re.escape(f"absent site tensors [{corner}]")):
+            estimate_cost(plan, lat, "1+8+1")
 
 
 def _grid_case(rows, cols, n_cuts, c_early, c_open, dtype, seed):

@@ -70,7 +70,7 @@ class TestParsePlan:
     def test_free_text_parses_or_raises_plan_error(self, text):
         try:
             plan = parse_plan(text)
-            plan.analyze(GRID)
+            estimate_cost(plan, GRID, "1+8+1")
         except PlanError:
             pass
 

@@ -156,7 +156,8 @@ class TestPermuteEquivalence:
 
 
 class TestNumpyRoute:
-    """On the numpy backend a multi-move plan is one strided transpose."""
+    """On the numpy backend every plan that moves data, except a single R
+    move, is one strided transpose."""
 
     @pytest.fixture()
     def numpy_backend(self):
@@ -186,6 +187,27 @@ class TestNumpyRoute:
             assert permute_fast(arr, plan).tobytes() == want
             ws = tensor_core.Workspace()
             assert permute_fast(arr, plan, workspace=ws).tobytes() == want
+
+    def test_single_moves(self, numpy_backend, monkeypatch):
+        """A single L move is one strided transpose too; a single R move
+        keeps the move kernel."""
+        calls = []
+        monkeypatch.setattr(_kernels, "l_move",
+                            lambda *a, **k: calls.append("L"))
+        r_move = _kernels.r_move
+        monkeypatch.setattr(_kernels, "r_move", lambda *a, **k: (
+            calls.append("R"), r_move(*a, **k)))
+        rng = np.random.default_rng(9)
+        arr = (rng.standard_normal([2] * 10)
+               + 1j * rng.standard_normal([2] * 10)).astype(np.complex64)
+        for perm, kind in (([3, 0, 4, 1, 2, 5, 6, 7, 8, 9], "L"),
+                           ([0, 1, 2, 3, 4, 5, 9, 7, 6, 8], "R")):
+            plan = plan_permutation(arr.shape, perm)
+            assert plan.move_summary()[0][0] == kind and len(plan.moves) == 1
+            want = permute_naive(arr, perm).tobytes()
+            ws = tensor_core.Workspace()
+            assert permute_fast(arr, plan, workspace=ws).tobytes() == want
+        assert calls == ["R"]
 
 
 @settings(max_examples=60, deadline=None)
@@ -234,10 +256,6 @@ class TestTensor:
         s = t.fix("a", 0).fix("b", 1)
         assert s.labels == ()
         assert s.scalar() == 2.0
-
-    def test_relabel(self):
-        t = Tensor(("a", "b"), np.zeros((2, 2))).relabel({"a": "x"})
-        assert t.labels == ("x", "b")
 
 
 class TestContract:
@@ -488,6 +506,20 @@ class TestBenchmark:
         )
         ops = {r["op"] for r in rows}
         assert any(op.endswith("/numpy") for op in ops)
+
+    def test_gammas_at_the_bounds(self):
+        """gamma 2 and rank - 2 leave two indexes to permute on each side."""
+        rows = benchmark_permute(rank=4, gammas=(2,), repeats=1)
+        assert {r["op"] for r in rows} == {"lmove", "rmove", "naive"}
+
+    @pytest.mark.parametrize("kwargs", [
+        {"rank": 6, "gammas": (5,)}, {"rank": 20, "gammas": (1,)},
+        {"rank": 0, "gammas": (5,)}, {"rank": 10, "gammas": (5,), "repeats": 0},
+        {"rank": 10, "gammas": (5,), "thread_counts": (1, 0)},
+    ])
+    def test_out_of_range_arguments_raise(self, kwargs):
+        with pytest.raises(ValueError):
+            benchmark_permute(**kwargs)
 
 
 class TestViewOperands:
