@@ -135,12 +135,21 @@ def pearson_vs_hamming(batches: Sequence) -> PearsonReport:
 def xeb_fidelity(samples: Iterable, probabilities) -> float:
     """Cross-entropy fidelity of sampled bit-strings against exact p.
 
-    ``samples`` are output bit-strings (binary strings or integers);
-    ``probabilities`` is the full exact 2^n vector for the sampled circuit.
+    ``samples`` are output bit-strings (binary strings of n characters, or
+    integers); ``probabilities`` is the full exact 2^n vector for the
+    sampled circuit.
     """
     probs = np.asarray(probabilities, dtype=np.float64)
-    idx = np.array([int(s, 2) if isinstance(s, str) else int(s)
-                    for s in samples])
+    n_bits = probs.size.bit_length() - 1
+    idx = []
+    for s in samples:
+        if isinstance(s, str) and (len(s) != n_bits or set(s) - {"0", "1"}):
+            raise ValueError(f"sample {s!r} is not {n_bits} chars of 0/1")
+        i = int(s, 2) if isinstance(s, str) else int(s)
+        if not 0 <= i < probs.size:
+            raise ValueError(f"sample {s!r} is outside 0..{probs.size - 1}")
+        idx.append(i)
+    idx = np.array(idx, dtype=np.int64)
     if idx.size == 0:
         raise ValueError("no samples given")
     p_sampled = probs[idx]

@@ -12,9 +12,10 @@ plain text.  Every output starts with an echo of the run configuration so
 a result can be reproduced from the file alone.  All randomness flows
 from ``--seed``.
 
-Exit codes: 0 on success, 1 on usage errors (bad flags, unreadable
-inputs, conflicting sources), 2 on numerical or resource errors (memory
-budget exceeded, verification out of tolerance, reference-simulator cap).
+Exit codes: 0 on success, 1 on usage errors (bad flags, out-of-range
+counts, unreadable inputs, conflicting sources), 2 on numerical or
+resource errors (memory budget exceeded, verification out of tolerance,
+reference-simulator cap).
 """
 
 from __future__ import annotations
@@ -415,6 +416,8 @@ def _cmd_amplitude(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    if args.max_batches is not None and args.max_batches < 1:
+        raise UsageError("--max-batches must be >= 1")
     circuit = _load_circuit(args)
     engine, c_sites, plan_echo = _make_engine(args, circuit, batch=True)
     in_bits = _bits_arg(args.in_bits, circuit.n)
@@ -439,6 +442,10 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.samples < 1:
+        raise UsageError("--samples must be >= 1")
+    if not 0 <= args.tol < float("inf"):  # nan fails too
+        raise UsageError(f"--tol must be finite and >= 0, got {args.tol}")
     circuit = _load_circuit(args)
     engine, _, plan_echo = _make_engine(args, circuit)
     if circuit.n > oracle.MAX_QUBITS:
@@ -478,6 +485,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_analyze_pt(args) -> int:
+    if args.bins < 1:
+        raise UsageError("--bins must be >= 1")
     try:
         with open(args.amplitudes) as fh:
             records = read_amplitudes(fh)
@@ -486,6 +495,8 @@ def _cmd_analyze_pt(args) -> int:
     records = [r for r in records if "re" in r]
     if not records:
         raise UsageError("no amplitude records in file")
+    if len({len(r["out"]) for r in records}) != 1:
+        raise UsageError("amplitude records have outputs of different lengths")
     n_dim = 2 ** len(records[0]["out"])
     probs = analysis.probabilities_from_records(records)
     hist = analysis.porter_thomas_check(probs, n_dim, bins=args.bins)
@@ -498,8 +509,8 @@ def _cmd_analyze_pt(args) -> int:
 
 
 def _cmd_analyze_pearson(args) -> int:
-    if args.batches < 1:
-        raise UsageError("--batches must be >= 1")
+    if args.batches < 2:
+        raise UsageError("--batches must be >= 2 to correlate")
     circuit = _load_circuit(args)
     engine, c_sites, plan_echo = _make_engine(args, circuit, batch=True)
     n_c = _n_c_arg(args, c_sites)
@@ -533,6 +544,11 @@ def _cmd_analyze_xeb(args) -> int:
                if ln and not ln.startswith("#") and not ln.startswith("{")]
     if not samples:
         raise UsageError("no samples in file")
+    for line in samples:
+        try:
+            as_bits(line, circuit.n)
+        except ValueError as e:
+            raise UsageError(f"bad sample: {e}")
     probs = oracle.exact_distribution(circuit, in_bits)
     f_hat = analysis.xeb_fidelity(samples, probs)
     report = {"config": _config_echo(args, "analyze xeb"),

@@ -65,14 +65,9 @@ import numpy as np
 from . import _kernels
 from .circuits import DepthSpec, Lattice
 from .network_builder import FOLDED_CORNERS, Net2D, edge_label, site_shapes
-from .tensor_core import (Tensor, contract, contract_arrays, route,
-                          trim_scratch, workspace_slots)
-
-# The labelled contraction as imported.  A wrapper put in its place on this
-# module (a tracer, a test that counts products) makes the executor fold
-# labelled tensors through that wrapper instead of bare arrays, so that it
-# sees every contraction.
-_LABELLED_CONTRACT = contract
+from .tensor_core import (Tensor, contract_arrays, route, trim_scratch,
+                          workspace_slots)
+from .tensor_core import contract  # noqa: F401  unused here; bench/tracing.py wraps it
 
 
 class PlanError(ValueError):
@@ -357,7 +352,6 @@ class PlanExecutor:
             (i for i, (v, w) in enumerate(zip(path, last)) if v != w), len(path))
         values, sites, threads = self._values, self._sites, self.thread_count
         trace, first_step = self._trace, len(sites)
-        hook = None if contract is _LABELLED_CONTRACT else contract
         for dst, src, cut, folds, flops in self._compiled.reruns[outer + 1]:
             if trace is not None:
                 start = time.perf_counter()
@@ -368,13 +362,8 @@ class PlanExecutor:
                 for pos, i, digits in cut[1]:
                     index[pos] = digits[path[i]]
                 acc = sites[src][tuple(index)]
-            for other, r, labels in folds:
-                if hook is None:
-                    acc = contract_arrays(acc, values[other], r, threads)
-                else:
-                    acc = hook(Tensor(labels[0], acc),
-                               Tensor(labels[1], values[other]),
-                               thread_count=threads).array
+            for other, r in folds:
+                acc = contract_arrays(acc, values[other], r, threads)
             values[dst] = acc
             self.flops += flops
             if trace is not None and dst >= first_step:
@@ -434,9 +423,9 @@ class Compiled(NamedTuple):
     everything): ``(dst, src, cut, folds, flops)`` starts from slot
     ``src``, or for a sliced site tensor from the view that ``cut = (index,
     axes)`` selects (each ``(axis, cut, digits)`` sets ``index[axis]`` to
-    ``digits[path[cut]]``), folds in each ``(slot, route, (labels,
-    labels))`` and stores the result in slot ``dst``.  ``cut_dims`` are
-    the loop lengths."""
+    ``digits[path[cut]]``), folds in each ``(slot, route)`` by
+    :func:`contract_arrays` and stores the result in slot ``dst``.
+    ``cut_dims`` are the loop lengths."""
 
     reruns: tuple
     out_labels: tuple[str, ...]
@@ -580,7 +569,7 @@ def _walk(plan: ContractionPlan, lattice: Lattice,
             out = math.prod(r.dims)
             transient = max(transient, fresh + out)
             fresh = out
-            folds.append((slot[name], r, (tuple(acc), tuple(operand))))
+            folds.append((slot[name], r))
             acc = dict(zip(r.labels, r.dims))
         if not deps.issubset(opened):
             missing = [plan.cuts[i].name for i in sorted(deps - set(opened))]
@@ -677,26 +666,21 @@ def estimate_cost(plan: ContractionPlan, lattice: Lattice, depth, *,
 def _region_order(lattice: Lattice, sites: Sequence[int]) -> list[int]:
     """Greedy contraction order for one region: grow a cluster from the
     lowest site id, always absorbing the neighbouring site that keeps the
-    cluster boundary (open bond count) smallest."""
+    cluster boundary (open bond count) smallest.  Absorbing ``s`` adds
+    ``deg(s) - 2 |N(s) & cluster|`` to the boundary, so that is its key."""
     remaining = set(sites)
-    start = min(remaining)
-    order = [start]
-    cluster = {start}
-    remaining.discard(start)
-
-    def boundary(cl: set[int]) -> int:
-        return sum(1 for a, b in lattice.edges()
-                   if (a in cl) != (b in cl))
-
-    while remaining:
-        frontier = {s for s in remaining
-                    if any(n in cluster for n in lattice.neighbors(s))}
-        candidates = frontier or remaining
-        best = min(candidates, key=lambda s: (boundary(cluster | {s}), s))
-        order.append(best)
-        cluster.add(best)
-        remaining.discard(best)
-    return order
+    touching = dict.fromkeys(remaining, 0)  # site -> neighbours in the cluster
+    order = [min(remaining)]
+    while True:
+        remaining.discard(order[-1])
+        for n in lattice.neighbors(order[-1]):
+            if n in remaining:
+                touching[n] += 1
+        if not remaining:
+            return order
+        candidates = [s for s in remaining if touching[s]] or remaining
+        order.append(min(candidates, key=lambda s: (
+            len(lattice.neighbors(s)) - 2 * touching[s], s)))
 
 
 def two_region_plan(lattice: Lattice, region_a: set[int], region_b: set[int],

@@ -159,6 +159,21 @@ class TestXEB:
         as_int = xeb_fidelity([0, 5, 100], probs)
         assert as_str == as_int
 
+    @pytest.mark.parametrize("sample", ["0101", "1" * 13, "", "-00000000001",
+                                        "0b0000000001", "00000_000001"])
+    def test_malformed_bitstring_rejected(self, state_3x4_t16, sample):
+        """A 12-qubit distribution takes 12 chars of 0/1 only: a shorter
+        string would read as a low index, a longer one overflow, and a
+        sign would index from the end."""
+        with pytest.raises(ValueError, match="12 chars of 0/1"):
+            xeb_fidelity(["0" * 12, sample], np.abs(state_3x4_t16) ** 2)
+
+    @pytest.mark.parametrize("sample", [-1, 4096])
+    def test_integer_sample_out_of_range_rejected(self, state_3x4_t16, sample):
+        """-1 would index the last probability; 4096 is past the end."""
+        with pytest.raises(ValueError, match="outside 0..4095"):
+            xeb_fidelity([0, sample], np.abs(state_3x4_t16) ** 2)
+
     def test_empty_samples_rejected(self, state_3x4_t16):
         with pytest.raises(ValueError):
             xeb_fidelity([], np.abs(state_3x4_t16) ** 2)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from rqcsim import _kernels, cli, contraction_plan
@@ -394,9 +395,9 @@ class TestPlanChoice:
                          "--two-qubit-gate", "iswap", "-o", str(path)]) == 0
         capsys.readouterr()
         calls = []
-        contract = contraction_plan.contract
-        monkeypatch.setattr(contraction_plan, "contract",
-                            lambda *a, **k: calls.append(1) or contract(*a, **k))
+        contract_arrays = contraction_plan.contract_arrays
+        monkeypatch.setattr(contraction_plan, "contract_arrays",
+                            lambda *a: calls.append(1) or contract_arrays(*a))
         code, _, err = run(capsys, "amplitude", "--circuit", str(path),
                            "--out", "0" * 16, "--memory-budget", "1M")
         assert code == 2
@@ -460,10 +461,10 @@ class TestExitCodes:
         assert "value twice" in err
 
     def test_out_of_memory_is_2(self, circuit_file, capsys, monkeypatch):
-        def no_memory(*args, **kwargs):
+        def no_memory(*args):
             raise MemoryError("Unable to allocate 8.00 GiB")
 
-        monkeypatch.setattr(contraction_plan, "contract", no_memory)
+        monkeypatch.setattr(contraction_plan, "contract_arrays", no_memory)
         code, _, err = run(
             capsys, "amplitude", "--circuit", str(circuit_file), "--out",
             "0" * 12,
@@ -533,3 +534,69 @@ class TestExitCodes:
         )
         # 30 qubits exceeds the reference-simulator cap
         assert code == 2
+
+
+def _amplitude_lines(n_bits: int, odd_out=None) -> str:
+    """1200 amplitude records on ``n_bits`` qubits, enough for ``analyze
+    pt``; with ``odd_out`` the last record's output is that string."""
+    rng = np.random.default_rng(0)
+    outs = [format(i % 2 ** n_bits, f"0{n_bits}b") for i in range(1200)]
+    if odd_out is not None:
+        outs[-1] = odd_out
+    amps = rng.normal(size=(1200, 2)) * 2 ** (-n_bits / 2)
+    return "".join(json.dumps({"in": "0" * n_bits, "out": out, "re": re,
+                               "im": im}) + "\n"
+                   for out, (re, im) in zip(outs, amps))
+
+
+GRID_2X3 = ("--lattice", "grid:2x3", "--depth", "1+8+1")
+
+
+class TestOutOfRangeArguments:
+    """Arguments no run can honour are usage errors (exit 1, an ``error:``
+    line, nothing on stdout), not a vacuous success, a numerical error or
+    a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", *GRID_2X3, "--samples", "0"),
+        ("verify", *GRID_2X3, "--samples", "-3"),
+        ("verify", *GRID_2X3, "--tol", "-1"),
+        ("verify", *GRID_2X3, "--tol", "nan"),
+        ("sample", *GRID_2X3, "--target", "5", "--max-batches", "0"),
+        ("sample", *GRID_2X3, "--target", "5", "--max-batches", "-2"),
+        ("analyze", "pearson", *GRID_2X3, "--batches", "1"),
+    ], ids=["samples-0", "samples-neg", "tol-neg", "tol-nan", "max-batches-0",
+            "max-batches-neg", "pearson-one-batch"])
+    def test_count_or_tolerance_out_of_range_is_1(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and not out
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("bins,odd_out", [("0", None), ("-5", None),
+                                              ("20", "00000")],
+                             ids=["bins-0", "bins-neg", "mixed-lengths"])
+    def test_pt_bins_or_mixed_outputs_is_1(self, tmp_path, capsys, bins,
+                                           odd_out):
+        path = tmp_path / "amps.jsonl"
+        path.write_text(_amplitude_lines(6, odd_out))
+        code, out, err = run(capsys, "analyze", "pt", "--amplitudes",
+                             str(path), "--bins", bins)
+        assert code == 1 and not out
+        assert err.startswith("error:")
+
+    def test_pt_accepts_the_same_file_with_valid_bins(self, tmp_path, capsys):
+        path = tmp_path / "amps.jsonl"
+        path.write_text(_amplitude_lines(6))
+        code, out, _ = run(capsys, "analyze", "pt", "--amplitudes", str(path),
+                           "--bins", "20")
+        assert code == 0 and "# count: 1200" in out
+
+    @pytest.mark.parametrize("line", ["0101", "1111111", "01012"],
+                             ids=["short", "long", "non-binary"])
+    def test_xeb_malformed_sample_is_1(self, tmp_path, capsys, line):
+        path = tmp_path / "s.txt"
+        path.write_text(f"000000\n{line}\n")
+        code, out, err = run(capsys, "analyze", "xeb", "--samples", str(path),
+                             *GRID_2X3)
+        assert code == 1 and not out
+        assert err.startswith("error:")

@@ -323,6 +323,38 @@ class TestPlacement:
         assert parse_plan(format_plan(plan)) == plan
 
 
+def _recounted_region_order(lattice, sites):
+    """The greedy region order by recounting the whole cluster boundary,
+    over every lattice edge, for each candidate."""
+    def boundary(cluster):
+        return sum((a in cluster) != (b in cluster) for a, b in lattice.edges())
+
+    remaining = set(sites)
+    order = [min(remaining)]
+    while remaining := remaining - {order[-1]}:
+        frontier = [s for s in remaining
+                    if set(lattice.neighbors(s)) & set(order)] or remaining
+        order.append(min(frontier,
+                         key=lambda s: (boundary(set(order) | {s}), s)))
+    return order
+
+
+class TestRegionOrder:
+    """Ranking candidates by the boundary change gives the order a full
+    recount gives, on every builtin plan's regions."""
+
+    @pytest.mark.parametrize("kind", [f"grid:{r}x{c}" for r in range(2, 9)
+                                      for c in range(2, 9)]
+                             + sorted(contraction_plan._BRISTLECONE))
+    def test_builtin_plans_match_a_boundary_recount(self, kind, monkeypatch):
+        lat = Lattice.named(kind)
+        depths = (None, "1+8+1", "1+24+1")
+        fast = [format_plan(builtin_plan(lat, d)) for d in depths]
+        monkeypatch.setattr(contraction_plan, "_region_order",
+                            _recounted_region_order)
+        assert fast == [format_plan(builtin_plan(lat, d)) for d in depths]
+
+
 class TestBristleconeTable:
     """Each Bristlecone row prices no more than the hand-tuned row it
     replaced, closed and with C open, under builtin_plan's placement."""
@@ -482,19 +514,22 @@ def fresh_run(net, plan) -> PlanExecutor:
 
 def counted_run(net, plan, monkeypatch) -> tuple[PlanExecutor, int]:
     """A fresh run, which also warms the permutation caches, and the
-    8 * m * k * n of every product it made, from the real operands."""
+    8 * m * k * n of every product it made, from the operands and product
+    alone: the shared size k has k**2 = a.size * b.size / out.size."""
     done = 0
-    contract = contraction_plan.contract
+    contract_arrays = contraction_plan.contract_arrays
 
-    def counted(a, b, **kw):
+    def counted(a, b, *args):
         nonlocal done
-        k = math.prod(a.dim_of(l) for l in set(a.labels) & set(b.labels))
-        done += 8 * a.size * b.size // k
-        return contract(a, b, **kw)
+        out = contract_arrays(a, b, *args)
+        k = math.isqrt(a.size * b.size // out.size)
+        assert k * k * out.size == a.size * b.size
+        done += 8 * out.size * k
+        return out
 
-    monkeypatch.setattr(contraction_plan, "contract", counted)
+    monkeypatch.setattr(contraction_plan, "contract_arrays", counted)
     ex = fresh_run(net, plan)
-    monkeypatch.setattr(contraction_plan, "contract", contract)
+    monkeypatch.setattr(contraction_plan, "contract_arrays", contract_arrays)
     return ex, done
 
 
@@ -511,10 +546,10 @@ def traced_peak(net, plan, monkeypatch) -> int:
 
 
 def array_peak(net, plan, monkeypatch) -> int:
-    """Largest numpy-allocated total right after any contraction or slice
-    of a fresh run returns, while the old accumulator or stale slice is
-    still alive: the peak without the few tens of KB of Python objects
-    that outweigh the arrays of a tiny network."""
+    """Largest numpy-allocated total right after any contraction of a
+    fresh run returns, while the old accumulator is still alive: the peak
+    without the few tens of KB of Python objects that outweigh the arrays
+    of a tiny network.  Slices are views, so they allocate nothing."""
     monkeypatch.setattr(tensor_core, "_SCRATCH", threading.local())
     peak = 0
 
@@ -525,10 +560,9 @@ def array_peak(net, plan, monkeypatch) -> int:
         peak = max(peak, sum(t.size for t in snap.traces))
         return result
 
-    contract, fix = contraction_plan.contract, Tensor.fix
-    monkeypatch.setattr(contraction_plan, "contract",
-                        lambda *a, **k: observe(contract(*a, **k)))
-    monkeypatch.setattr(Tensor, "fix", lambda *a: observe(fix(*a)))
+    contract_arrays = contraction_plan.contract_arrays
+    monkeypatch.setattr(contraction_plan, "contract_arrays",
+                        lambda *a: observe(contract_arrays(*a)))
     tracemalloc.start()
     try:
         fresh_run(net, plan)
@@ -630,9 +664,9 @@ class TestHonestBound:
     def test_over_budget_refused_before_contracting(self, circuit_4x4_t16,
                                                     monkeypatch):
         calls = []
-        contract = contraction_plan.contract
-        monkeypatch.setattr(contraction_plan, "contract",
-                            lambda *a, **k: calls.append(1) or contract(*a, **k))
+        contract_arrays = contraction_plan.contract_arrays
+        monkeypatch.setattr(contraction_plan, "contract_arrays",
+                            lambda *a: calls.append(1) or contract_arrays(*a))
         net = closed_net(circuit_4x4_t16)
         plan = grid_plan(circuit_4x4_t16.lattice, n_cuts=1)
         need = PlanExecutor(net, plan).peak_bytes
@@ -703,18 +737,18 @@ class TestSchedule:
         net, plan = self.net_and_plan()
         ex = PlanExecutor(net, plan)
         ex.run((0, 0, 0))
-        contract, calls = contraction_plan.contract, []
+        contract_arrays, calls = contraction_plan.contract_arrays, []
 
-        def failing(*args, **kwargs):
+        def failing(*args):
             calls.append(1)
             if len(calls) == 2:
                 raise MemoryError("injected")
-            return contract(*args, **kwargs)
+            return contract_arrays(*args)
 
-        monkeypatch.setattr(contraction_plan, "contract", failing)
+        monkeypatch.setattr(contraction_plan, "contract_arrays", failing)
         with pytest.raises(MemoryError):
             ex.run((1, 0, 0))
-        monkeypatch.setattr(contraction_plan, "contract", contract)
+        monkeypatch.setattr(contraction_plan, "contract_arrays", contract_arrays)
         for path in ((0, 1, 0), (1, 0, 0), (0, 0, 0)):
             assert np.array_equal(ex.run(path).array,
                                   execute_plan(net, plan, path).array)
@@ -911,8 +945,8 @@ class TestBareArrayExecutor:
     def test_cut_slices_are_views(self, kernel_backend, monkeypatch):
         """Every sliced site tensor the executor holds is a view of the
         network's array, non-contiguous ones included, and each path gives
-        bit for bit what folding labelled tensors through ``contract``
-        gives (the path a wrapper on ``contraction_plan.contract`` takes)."""
+        bit for bit what folding contiguous copies of both operands
+        gives."""
         lat, plan, _, net = _grid_case(3, 4, 2, True, False, np.complex128, 1)
         ex = PlanExecutor(net, plan)
         base = [t.array for t in net.tensors.values()]
@@ -922,11 +956,13 @@ class TestBareArrayExecutor:
         assert any(not ex._values[s].flags.c_contiguous for s in sliced)
         for s in sliced:
             assert np.shares_memory(ex._values[s], base[s])
-        contract = contraction_plan.contract
-        monkeypatch.setattr(contraction_plan, "contract",
-                            lambda *a, **k: contract(*a, **k))
-        labelled = PlanExecutor(net, plan)
-        assert got == [labelled.run(path).scalar()
+        contract_arrays = contraction_plan.contract_arrays
+        monkeypatch.setattr(contraction_plan, "contract_arrays",
+                            lambda a, b, *rest: contract_arrays(
+                                np.ascontiguousarray(a),
+                                np.ascontiguousarray(b), *rest))
+        copied = PlanExecutor(net, plan)
+        assert got == [copied.run(path).scalar()
                        for path in enumerate_paths(ex.cut_dims)]
 
     def test_untraced_run_reads_no_clock(self, monkeypatch):

@@ -3,6 +3,9 @@ module's own error, and the CLI exits 0 or 1 without a traceback."""
 
 from __future__ import annotations
 
+import json
+import math
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -144,3 +147,68 @@ class TestCliArguments:
                 "--c-sites", c_sites, "--max-batches", "3"]
         assert cli.main(argv) in (0, 1)
         assert "Traceback" not in capsys.readouterr().err
+
+
+GRID_2X3 = ["--lattice", "grid:2x3", "--depth", "1+8+1"]
+below = st.integers(-10 ** 6, 0)
+bad_tol = st.floats(allow_nan=True, allow_infinity=True).filter(
+    lambda x: not 0 <= x < math.inf).map(str)
+out_of_range = st.one_of(
+    below.map(lambda v: ["verify", "--samples", str(v)]),
+    bad_tol.map(lambda v: ["verify", "--tol", v]),
+    below.map(lambda v: ["sample", "--target", "5", "--max-batches", str(v)]),
+    st.integers(-10 ** 6, 1).map(
+        lambda v: ["analyze", "pearson", "--batches", str(v)]))
+
+
+def _is_bits(line: str, n: int) -> bool:
+    return len(line.strip()) == n and not set(line.strip()) - {"0", "1"}
+
+
+# a sample line that is not a 6-qubit bit-string (nor blank, which is skipped)
+bad_sample = st.one_of(st.text("01", min_size=1, max_size=12),
+                       st.text("01 2a\t", min_size=1, max_size=8)).filter(
+    lambda s: s.strip() and not _is_bits(s, 6))
+
+
+@pytest.fixture(scope="module")
+def amplitude_file(tmp_path_factory):
+    """1200 six-qubit amplitude records: enough for ``analyze pt``."""
+    path = tmp_path_factory.mktemp("pt") / "amps.jsonl"
+    path.write_text("".join(
+        json.dumps({"in": "0" * 6, "out": format(i % 64, "06b"),
+                    "re": 0.125 * ((i % 7) + 1) / 4, "im": 0.0}) + "\n"
+        for i in range(1200)))
+    return path
+
+
+class TestOutOfRangeArguments:
+    """Counts, tolerances and sample lines no run can honour exit 1 with
+    an ``error:`` line and nothing on stdout: never 0, never 2, never a
+    traceback."""
+
+    @staticmethod
+    def exits_1(capsys, argv):
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert code == 1 and not out, (argv, code, err)
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @FUZZ
+    @given(argv=out_of_range)
+    def test_counts_and_tolerance(self, capsys, argv):
+        self.exits_1(capsys, argv + GRID_2X3)
+
+    @FUZZ
+    @given(bins=below)
+    def test_pt_bins(self, capsys, amplitude_file, bins):
+        self.exits_1(capsys, ["analyze", "pt", "--amplitudes",
+                              str(amplitude_file), "--bins", str(bins)])
+
+    @FUZZ
+    @given(line=bad_sample)
+    def test_xeb_sample_lines(self, capsys, tmp_path, line):
+        path = tmp_path / "s.txt"
+        path.write_text(f"000000\n{line}\n")
+        self.exits_1(capsys, ["analyze", "xeb", "--samples", str(path)]
+                     + GRID_2X3)
