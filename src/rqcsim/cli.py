@@ -100,7 +100,8 @@ def _add_common(p: _Parser, *, source: bool = False, engine: bool = False):
         p.add_argument("--depth", default=None, help="depth spec 1+t+1")
     if engine:
         p.add_argument("--plan", default="auto",
-                       help="contraction plan file, or 'auto' (default)")
+                       help="contraction plan file, a lattice name for that "
+                            "lattice's builtin plan, or 'auto' (default)")
         p.add_argument("--precision", choices=("single", "double"),
                        default="single", help="engine precision (default single)")
         p.add_argument("--threads", type=int, default=None,
@@ -263,16 +264,21 @@ def _load_circuit(args):
 def _make_engine(args, circuit, batch: bool = False):
     """The engine the arguments ask for, its plan's price for the config
     echo, and for a batch command the open sites.  The plan is priced at
-    those sites, the precision and the circuit's two-qubit gate: the
-    automatic plan is chosen by that price and cut to fit a memory budget,
+    those sites, the circuit's depth, the precision and the circuit's
+    two-qubit gate: a builtin plan (``auto``, the circuit's lattice, or a
+    named lattice) is chosen by that price and cut to fit a memory budget,
     and every plan is checked against the budget before it runs."""
     budget = _parse_bytes(args.memory_budget) if args.memory_budget else None
     dtype = np.dtype(np.complex64 if args.precision == "single" else np.complex128)
     c_sites = _c_sites_arg(args, circuit) if batch else ()
-    if args.plan == "auto":
+    try:  # 'auto' or a lattice name: that lattice's builtin plan
+        named = circuit.lattice if args.plan == "auto" else Lattice.named(args.plan)
+    except ValueError:
+        named = None
+    if named is not None:
         if c_sites is None:  # every placement and cut count batches over one region
-            c_sites = builtin_plan(circuit.lattice).batch_sites
-        plan = builtin_plan(circuit.lattice, circuit.depth, memory_budget=budget,
+            c_sites = builtin_plan(named).batch_sites
+        plan = builtin_plan(named, circuit.depth, memory_budget=budget,
                             open_sites=c_sites, itemsize=dtype.itemsize,
                             two_qubit_gate=circuit.two_qubit_gate)
     else:

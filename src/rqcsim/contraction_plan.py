@@ -41,13 +41,14 @@ accepted under a memory budget also runs under it.  Memoized per network
 shape, it lets the executor run every path on bare arrays, fixing cut
 values by basic indexing (views) rather than copies.
 
-``builtin_plan`` builds every lattice's plan from three regions and a set
-of cut bonds: a balanced split across the waist of any rectangle, and for
-each Bristlecone lattice the regions priced offline and listed here.  The
-batch region C joins in one of two places: last, after the A x B join, or
-early, its core contracted into B's before the loops.  Given the run's
-depth, open sites, precision and two-qubit gate, ``builtin_plan`` prices
-both and keeps the one with fewer flops (C last on a tie).
+Every builtin plan comes from its lattice's one rule (:func:`_rule`): a
+balanced split across the waist of a rectangle, and for each Bristlecone
+lattice a row priced offline and listed here.  The batch region C joins
+in one of two places: last, after the A x B join, or early, its core
+contracted into B's before the loops.  Given the run's depth, open sites,
+precision and two-qubit gate, ``builtin_plan`` prices both and keeps the
+one with fewer flops (C last on a tie), cutting more of the rule's bonds
+only where a memory budget needs it.
 """
 
 from __future__ import annotations
@@ -759,63 +760,15 @@ def two_region_plan(lattice: Lattice, region_a: set[int], region_b: set[int],
                            tuple(sorted(region_c)))
 
 
-def _grid_regions(lattice: Lattice, n_cuts: Optional[int] = None):
-    """Regions A, B, C and cut bonds of :func:`grid_plan`'s split."""
-    rows, cols = lattice.bounding_shape
-    if lattice.n != rows * cols:
-        raise PlanError(f"no grid plan for irregular lattice {lattice.kind!r}")
-
-    def sid(r, c):
-        return lattice.site_id((r, c))
-
-    if cols >= rows:
-        mid = (cols + 1) // 2
-        in_a = lambda r, c: c < mid
-        waist = [(sid(r, mid - 1), sid(r, mid)) for r in range(rows)]
-        c_rows = range((rows + 1) // 2, rows)
-        c_cols = range(max(mid, cols - 2), cols)
-    else:
-        mid = (rows + 1) // 2
-        in_a = lambda r, c: r < mid
-        waist = [(sid(mid - 1, c), sid(mid, c)) for c in range(cols)]
-        c_rows = range(max(mid, rows - 2), rows)
-        c_cols = range((cols + 1) // 2, cols)
-
-    if n_cuts is None:
-        n_cuts = len(waist) // 2
-    if not 0 <= n_cuts <= len(waist):
-        raise PlanError(f"{lattice.kind} waist has {len(waist)} bonds, "
-                        f"cannot cut {n_cuts}")
-    region_c = {sid(r, c) for r in c_rows for c in c_cols}
-    region_a = {sid(r, c) for r in range(rows) for c in range(cols)
-                if in_a(r, c)} - region_c
-    region_b = set(range(lattice.n)) - region_a - region_c
-    return region_a, region_b, region_c, waist[:n_cuts]
-
-
-def grid_plan(lattice: Lattice, n_cuts: Optional[int] = None, *,
-              c_early: bool = False) -> ContractionPlan:
-    """Balanced two-region plan for a full rectangle.
-
-    The grid splits across its longer axis; a small bottom-right block
-    becomes the batch region C, and ``n_cuts`` waist bonds (default: half
-    the waist, the ones farthest from C) become cuts.  C joins last unless
-    ``c_early`` (see :func:`two_region_plan`).
-    """
-    return two_region_plan(lattice, *_grid_regions(lattice, n_cuts),
-                           c_early=c_early)
-
-
 def _waist(row: int, cols: Sequence[int]) -> tuple:
     """The bonds between rows ``row - 1`` and ``row`` at ``cols``."""
     return tuple(((row - 1, c), (row, c)) for c in cols)
 
 
 #: The Bristlecone plans, by lattice kind, on sites (row, col): who is in
-#: region A, who is in the batch region C (C wins where both hold; B is the
-#: rest) and the cut A|B bonds; sites ``contract_time`` folds are in no
-#: region.  Each row is the A = {f < k} or {f > k}, f one of r, c, r +- c,
-#: and cut set pricing fewest closed flops at 1+32+1 (searched offline).
+#: region A, who is in the batch region C, and the cut A|B bonds.  Each row
+#: is the A = {f < k} or {f > k}, f one of r, c, r +- c, and cut set
+#: pricing fewest closed flops at 1+32+1 (searched offline).
 _BRISTLECONE = {
     "bristlecone-24": (lambda r, c: r - c < 3, lambda r, c: r - c >= 4,
                        (((5, 2), (5, 3)),)),
@@ -834,25 +787,71 @@ _BRISTLECONE = {
 }
 
 
-def _bristlecone_regions(lattice: Lattice):
-    """Regions A, B, C and cut bonds of a Bristlecone lattice's plan."""
-    in_a, in_c, cut_coords = _BRISTLECONE[lattice.kind]
+def _rule(lattice: Lattice):
+    """The lattice's plan rule ``(in_a, in_c, cuts, default)``: predicates
+    on (row, col) for region A and the batch region C, the cut A|B bonds
+    on (row, col) in the order a plan cuts them, and how many of them a
+    plan cuts by default.
+
+    A Bristlecone lattice has its tabled row, every bond cut by default.
+    A full rectangle splits across the waist of its longer axis, keeps a
+    small bottom-right block as C, and cuts the waist bonds farthest from
+    C first, half of them by default.
+    """
+    if lattice.kind in _BRISTLECONE:
+        in_a, in_c, cuts = _BRISTLECONE[lattice.kind]
+        return in_a, in_c, cuts, len(cuts)
+    rows, cols = lattice.bounding_shape
+    if lattice.n != rows * cols:
+        raise PlanError(f"no builtin plan for lattice {lattice.kind!r}")
+    if cols >= rows:
+        mid = (cols + 1) // 2
+        in_a = lambda r, c: c < mid
+        c_from = ((rows + 1) // 2, max(mid, cols - 2))
+        cuts = tuple(((r, mid - 1), (r, mid)) for r in range(rows))
+    else:
+        mid = (rows + 1) // 2
+        in_a = lambda r, c: r < mid
+        c_from = (max(mid, rows - 2), (cols + 1) // 2)
+        cuts = _waist(mid, range(cols))
+    in_c = lambda r, c: r >= c_from[0] and c >= c_from[1]
+    return in_a, in_c, cuts, len(cuts) // 2
+
+
+def _regions(lattice: Lattice, n_cuts: Optional[int] = None):
+    """Regions A, B, C and the first ``n_cuts`` cut bonds (default: the
+    rule's count) of the lattice's rule.  C wins where both predicates
+    hold, B is the rest, and sites ``contract_time`` folds are in no
+    region."""
+    in_a, in_c, cuts, default = _rule(lattice)
+    if n_cuts is None:
+        n_cuts = default
+    if not 0 <= n_cuts <= len(cuts):
+        raise PlanError(f"{lattice.kind} plan has {len(cuts)} cut bonds, "
+                        f"cannot cut {n_cuts}")
     regions = {"A": set(), "B": set(), "C": set()}
     for rc in lattice.sites:
         if rc not in FOLDED_CORNERS.get(lattice.kind, ()):
             name = "C" if in_c(*rc) else "A" if in_a(*rc) else "B"
             regions[name].add(lattice.site_id(rc))
-    cut_bonds = [tuple(lattice.site_id(rc) for rc in bond) for bond in cut_coords]
+    cut_bonds = [tuple(lattice.site_id(rc) for rc in bond)
+                 for bond in cuts[:n_cuts]]
     return regions["A"], regions["B"], regions["C"], cut_bonds
 
 
+def grid_plan(lattice: Lattice, n_cuts: Optional[int] = None, *,
+              c_early: bool = False) -> ContractionPlan:
+    """The two-region plan of the lattice's rule, cutting its first
+    ``n_cuts`` bonds (default: the rule's count; for a rectangle, half the
+    waist, the bonds farthest from C).  C joins last unless ``c_early``
+    (see :func:`two_region_plan`)."""
+    return two_region_plan(lattice, *_regions(lattice, n_cuts),
+                           c_early=c_early)
+
+
 def load_plan(source) -> ContractionPlan:
-    """Load a plan from a file path.  A Bristlecone lattice kind (such as
-    ``bristlecone-24``) names that lattice's builtin plan, C joining last."""
-    name = str(source)
-    if name in _BRISTLECONE:
-        return builtin_plan(Lattice.named(name))
-    with open(name, "r", encoding="utf-8") as fh:
+    """Load a plan from a file path."""
+    with open(source, "r", encoding="utf-8") as fh:
         return parse_plan(fh.read())
 
 
@@ -861,52 +860,35 @@ def builtin_plan(lattice: Lattice, depth=None,
                  open_sites: Sequence[int] = (),
                  itemsize: int = 8,
                  two_qubit_gate: str = "cz") -> ContractionPlan:
-    """The builtin plan for this lattice, built from its regions.
+    """The builtin plan for this lattice, built from its rule (see
+    :func:`_rule`); without ``depth``, :func:`grid_plan`'s default.
 
-    Bristlecone lattices use their tabled regions and cuts; rectangles
-    get a balanced split.  Without ``depth`` the plan has C joining last.
-    Given ``depth``, the plan is built with C joining last and with C
-    joining early (see :func:`two_region_plan`), each priced by
-    :func:`estimate_cost` for ``open_sites`` left open, ``itemsize``-byte
-    entries and ``two_qubit_gate``'s bond dimension, and the one priced at
-    fewer total flops is kept, C last on a tie.  When ``memory_budget`` is
-    given (bytes), the kept placement must also fit it at its priced peak:
-    a grid cuts more waist bonds until one placement fits, and a
-    Bristlecone lattice whose placements both exceed it fails with a
-    diagnostic instead of changing shape.
+    Given ``depth``, it tries each cut count from the rule's default up to
+    all of its bonds (a Bristlecone lattice has one count) until a plan
+    fits ``memory_budget`` (bytes, if given): at each count it builds C
+    joining last and C joining early (see :func:`two_region_plan`), prices
+    both by :func:`estimate_cost` for ``open_sites`` left open,
+    ``itemsize``-byte entries and ``two_qubit_gate``'s bond dimension, and
+    keeps the one that fits at fewer total flops, C last on a tie.  Where
+    no count fits, it fails with a diagnostic.
     """
-    def price(plan: ContractionPlan) -> CostEstimate:
-        return estimate_cost(plan, lattice, depth, open_sites=open_sites,
-                             itemsize=itemsize, two_qubit_gate=two_qubit_gate)
-
     if memory_budget is not None and depth is None:
         raise ValueError("memory budgets need the circuit depth")
-    if lattice.kind in _BRISTLECONE:
-        regions = _bristlecone_regions(lattice)
-    elif lattice.kind.startswith("grid:"):
-        regions = _grid_regions(lattice)
-    else:
-        raise PlanError(f"no builtin plan for lattice {lattice.kind!r}")
     if depth is None:
-        return two_region_plan(lattice, *regions)
-    while True:
+        return grid_plan(lattice)
+    cuts, default = _rule(lattice)[2:]
+    for n_cuts in range(default, len(cuts) + 1):
+        regions = _regions(lattice, n_cuts)
         plans = [two_region_plan(lattice, *regions, c_early=early)
                  for early in (False, True)]
-        costs = [price(p) for p in plans]
+        costs = [estimate_cost(p, lattice, depth, open_sites=open_sites,
+                               itemsize=itemsize, two_qubit_gate=two_qubit_gate)
+                 for p in plans]
         fits = [(cost.total_flops, i) for i, cost in enumerate(costs)
                 if memory_budget is None or cost.peak_bytes <= memory_budget]
         if fits:
             return plans[min(fits)[1]]
-        least = min(cost.peak_bytes for cost in costs)
-        if lattice.kind in _BRISTLECONE:
-            raise MemoryBudgetError(
-                f"plan for {lattice.kind} needs ~{least} bytes at depth "
-                f"{DepthSpec.parse(depth)}, budget is {memory_budget}")
-        try:
-            regions = _grid_regions(lattice, len(regions[3]) + 1)
-        except PlanError:
-            raise MemoryBudgetError(
-                f"even cutting the whole waist, {lattice.kind} at depth "
-                f"{DepthSpec.parse(depth)} needs ~{least} bytes, "
-                f"budget is {memory_budget}"
-            ) from None
+    raise MemoryBudgetError(
+        f"plan for {lattice.kind} needs ~{min(c.peak_bytes for c in costs)} "
+        f"bytes at depth {DepthSpec.parse(depth)} with all {len(cuts)} of its "
+        f"cut bonds, budget is {memory_budget}")

@@ -401,8 +401,22 @@ class TestPlanChoice:
         code, _, err = run(capsys, "amplitude", "--circuit", str(path),
                            "--out", "0" * 16, "--memory-budget", "1M")
         assert code == 2
-        assert "even cutting the whole waist" in err
+        assert "plan for grid:4x4 needs ~" in err and "budget is 1048576" in err
         assert not calls
+
+    def test_named_plan_is_priced_like_auto(self, capsys):
+        """``--plan bristlecone-24`` is that lattice's builtin plan priced
+        for the run, so it echoes what ``--plan auto`` echoes."""
+        echoes = []
+        for plan in ("auto", "bristlecone-24"):
+            code, out, err = run(
+                capsys, "amplitude", "--lattice", "bristlecone-24", "--depth",
+                "1+32+1", "--out", "0" * 24, "--plan", plan)
+            assert code == 0, err
+            cfg = json.loads(out.splitlines()[0])["config"]
+            echoes.append((cfg["plan_flops"], cfg["plan_peak_bytes"],
+                           cfg["c_joins"]))
+        assert echoes[0] == echoes[1] == (207_683_584, 2_234_504, "B0C")
 
 
 class TestExitCodes:

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rqcsim import _kernels, cli, contraction_plan, oracle, tensor_core
-from rqcsim.circuits import Lattice, generate_rqc
+from rqcsim.circuits import BRISTLECONE_SIZES, Lattice, generate_rqc
 from rqcsim.contraction_plan import (
     ContractionPlan,
     ContractStep,
@@ -203,7 +203,7 @@ class TestPathSum:
         contraction and to the dense reference."""
         lat = Lattice.named("bristlecone-24")
         circ = generate_rqc(lat, depth, seed=2)
-        regions = contraction_plan._bristlecone_regions(lat)
+        regions = contraction_plan._regions(lat)
         c_sites = builtin_plan(lat).batch_sites
         state = oracle.evolve(circ)
         # every output outside C is 0; qubit 0 is the index's top bit
@@ -291,7 +291,6 @@ class TestPlacement:
         assert plan.batch_sites == batch_sites
         text = format_plan(plan).encode()
         assert hashlib.sha256(text).hexdigest()[:16] == digest
-        assert load_plan(kind) == plan
 
     def test_closed_bristlecone24_joins_c_early(self):
         lat = Lattice.named("bristlecone-24")
@@ -353,6 +352,73 @@ class TestRegionOrder:
         monkeypatch.setattr(contraction_plan, "_region_order",
                             _recounted_region_order)
         assert fast == [format_plan(builtin_plan(lat, d)) for d in depths]
+
+
+# (lattice, depth, memory budget): budgets that keep the default cut count,
+# cut one, two or three more waist bonds, or fit nothing
+GOLDEN_BUDGETS = [("grid:6x6", "1+16+1", 500_000_000),
+                  ("grid:6x6", "1+16+1", 100_000_000),
+                  ("grid:6x6", "1+16+1", 2_300_000),
+                  ("grid:6x6", "1+16+1", 500_000),
+                  ("grid:4x4", "1+16+1", 40_000),
+                  ("grid:3x8", "1+24+1", 7_000_000),
+                  ("bristlecone-24", "1+32+1", 2_234_504),
+                  ("bristlecone-24", "1+32+1", 2_234_503)]
+
+
+def _golden_sweep():
+    """(case, plan text or the error's class name) for builtin_plan on
+    every rectangle from 1x2 to 8x8 and every Bristlecone kind, without a
+    depth and at three depths, both precisions, C closed and open;
+    grid_plan for cut counts 0-8 in both placements on the rectangles; and
+    :data:`GOLDEN_BUDGETS`."""
+    def outcome(build):
+        try:
+            return format_plan(build())
+        except (PlanError, MemoryBudgetError) as exc:
+            return type(exc).__name__
+
+    kinds = [f"grid:{r}x{c}" for r in range(1, 9) for c in range(1, 9)
+             if r * c >= 2] + [f"bristlecone-{n}" for n in BRISTLECONE_SIZES]
+    for kind in kinds:
+        lat = Lattice.named(kind)
+        yield kind, outcome(lambda: builtin_plan(lat))
+        try:
+            c_sites = builtin_plan(lat).batch_sites
+        except PlanError:
+            c_sites = ()
+        for depth in ("1+8+1", "1+16+1", "1+24+1"):
+            for itemsize in (8, 16):
+                for sites in ((), c_sites):
+                    yield (kind, depth, itemsize, sites), outcome(
+                        lambda: builtin_plan(lat, depth, open_sites=sites,
+                                             itemsize=itemsize))
+        if kind.startswith("grid:"):
+            for n_cuts in range(9):
+                for c_early in (False, True):
+                    yield (kind, n_cuts, c_early), outcome(
+                        lambda: grid_plan(lat, n_cuts, c_early=c_early))
+    for kind, depth, budget in GOLDEN_BUDGETS:
+        yield (kind, depth, budget), outcome(
+            lambda: builtin_plan(Lattice.named(kind), depth, budget))
+
+
+class TestGoldenPlans:
+    """Every builtin plan's text, pinned by one digest over the sweep.  A
+    change to any lattice's rule, to the placement or budget choice, or to
+    the plan assembly moves it; such a change re-pins it on purpose."""
+
+    DIGEST = "e65e27e70a1202edf7f8f8cb3d55b72421b535c9308bb305c764e7a58bbe666b"
+
+    def test_sweep_digest(self):
+        digest = hashlib.sha256()
+        outcomes = []
+        for case, text in _golden_sweep():
+            digest.update(f"{case}\n{text}\n".encode())
+            outcomes.append(text)
+        assert len(outcomes) == 2065
+        assert sum(text.startswith("plan ") for text in outcomes) == 1435
+        assert digest.hexdigest() == self.DIGEST
 
 
 class TestBristleconeTable:

@@ -1,5 +1,6 @@
-"""Fuzzed parsers and CLI arguments: every input parses or ends in the
-module's own error, and the CLI exits 0 or 1 without a traceback."""
+"""Fuzzed parsers, plan rules and CLI arguments: every input parses or
+ends in the module's own error, and the CLI exits 0 or 1 without a
+traceback."""
 
 from __future__ import annotations
 
@@ -10,9 +11,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from rqcsim import cli
+from rqcsim import cli, contraction_plan
 from rqcsim.circuits import CircuitFormatError, Lattice, parse_circuit
-from rqcsim.contraction_plan import (PlanError, estimate_cost, format_plan,
+from rqcsim.contraction_plan import (MemoryBudgetError, PlanError,
+                                     builtin_plan, estimate_cost, format_plan,
                                      grid_plan, parse_plan)
 
 FUZZ = settings(max_examples=60, deadline=None,
@@ -89,6 +91,55 @@ class TestParsePlan:
         err = capsys.readouterr().err
         assert code == 1
         assert "grid:3x3 has no site" in err and "Traceback" not in err
+
+
+ruled = st.one_of(
+    st.tuples(st.integers(1, 8), st.integers(1, 8)).filter(
+        lambda rc: rc[0] * rc[1] >= 2).map(lambda rc: "grid:%dx%d" % rc),
+    st.sampled_from(sorted(contraction_plan._BRISTLECONE))).map(Lattice.named)
+shallow = st.integers(0, 16).map(lambda t: f"1+{t}+1")
+
+
+class TestPlanRule:
+    """Every lattice's rule gives a plan the cost walk accepts for each cut
+    count it has, and a budget is met or refused, never overrun."""
+
+    @FUZZ
+    @given(lat=ruled, depth=shallow, c_early=st.booleans(), data=st.data())
+    def test_grid_plan_accepts_exactly_the_rules_cut_counts(
+            self, lat, depth, c_early, data):
+        n_bonds = len(contraction_plan._rule(lat)[2])
+        n_cuts = data.draw(st.integers(-1, n_bonds + 1))
+        try:
+            plan = grid_plan(lat, n_cuts, c_early=c_early)
+        except PlanError:
+            assert not 0 <= n_cuts <= n_bonds
+            return
+        assert 0 <= n_cuts <= n_bonds and plan.num_cuts == n_cuts
+        assert estimate_cost(plan, lat, depth).paths >= 1
+
+    @FUZZ
+    @given(lat=ruled, depth=shallow, open_c=st.booleans(),
+           itemsize=st.sampled_from([8, 16]),
+           budget=st.floats(2, 10).map(lambda e: int(10 ** e)))
+    def test_builtin_plan_fits_its_budget_or_refuses(
+            self, lat, depth, open_c, itemsize, budget):
+        sites = builtin_plan(lat).batch_sites if open_c else ()
+        try:
+            plan = builtin_plan(lat, depth, budget, open_sites=sites,
+                                itemsize=itemsize)
+        except MemoryBudgetError as exc:
+            assert f"plan for {lat.kind} needs ~" in str(exc)
+            assert f"budget is {budget}" in str(exc)
+            every = len(contraction_plan._rule(lat)[2])
+            assert all(estimate_cost(grid_plan(lat, every, c_early=early), lat,
+                                     depth, open_sites=sites,
+                                     itemsize=itemsize).peak_bytes > budget
+                       for early in (False, True))
+            return
+        cost = estimate_cost(plan, lat, depth, open_sites=sites,
+                             itemsize=itemsize)
+        assert cost.peak_bytes <= budget
 
 
 gate_line = st.tuples(st.integers(-1, 12), st.sampled_from(
