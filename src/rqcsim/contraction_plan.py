@@ -46,9 +46,10 @@ balanced split across the waist of a rectangle, and for each Bristlecone
 lattice a row priced offline and listed here.  The batch region C joins
 in one of two places: last, after the A x B join, or early, its core
 contracted into B's before the loops.  Given the run's depth, open sites,
-precision and two-qubit gate, ``builtin_plan`` prices both and keeps the
-one with fewer flops (C last on a tie), cutting more of the rule's bonds
-only where a memory budget needs it.
+precision and two-qubit gate, ``builtin_plan`` orders each region's core
+by its price on those site shapes (:func:`_region_order`), prices both
+placements and keeps the one with fewer flops (C last on a tie), cutting
+more of the rule's bonds only where a memory budget needs it.
 """
 
 from __future__ import annotations
@@ -664,11 +665,21 @@ def estimate_cost(plan: ContractionPlan, lattice: Lattice, depth, *,
 # built-in plans
 
 
-def _region_order(lattice: Lattice, sites: Sequence[int]) -> list[int]:
-    """Greedy contraction order for one region: grow a cluster from the
-    lowest site id, always absorbing the neighbouring site that keeps the
-    cluster boundary (open bond count) smallest.  Absorbing ``s`` adds
-    ``deg(s) - 2 |N(s) & cluster|`` to the boundary, so that is its key."""
+def _region_order(lattice: Lattice, sites: Sequence[int],
+                  shapes: Optional[dict[int, dict[str, int]]] = None) -> list[int]:
+    """Left-deep contraction order for one region's core.
+
+    The boundary chain grows a cluster from the lowest site id, always
+    absorbing the neighbouring site that keeps the cluster boundary (open
+    bond count) smallest: absorbing ``s`` adds ``deg(s) - 2 |N(s) &
+    cluster|`` to it, so that is its key.  Without ``shapes`` that chain
+    is the order.  Given the site shapes the plan is priced on, the order
+    is the chain of fewest flops (:func:`_chain_price`) among the boundary
+    chain and one priced greedy run from every start site -- each step
+    folds in the touching site whose product, then whose result, is
+    smallest -- keeping only chains whose largest intermediate is no
+    larger than the boundary chain's; the boundary chain wins a tie.
+    """
     remaining = set(sites)
     touching = dict.fromkeys(remaining, 0)  # site -> neighbours in the cluster
     order = [min(remaining)]
@@ -678,18 +689,83 @@ def _region_order(lattice: Lattice, sites: Sequence[int]) -> list[int]:
             if n in remaining:
                 touching[n] += 1
         if not remaining:
-            return order
+            break
         candidates = [s for s in remaining if touching[s]] or remaining
         order.append(min(candidates, key=lambda s: (
             len(lattice.neighbors(s)) - 2 * touching[s], s)))
+    if shapes is None:
+        return order
+    return [order[i] for i in _cheapest_chain(
+        _label_masks([shapes[s] for s in order]))]
+
+
+def _label_masks(shapes: Sequence[dict[str, int]]) -> tuple[int, ...]:
+    """Each site's labels as one integer: a label of dimension ``2**k``
+    owns ``k`` bits, so the log2 size of any set of labels is the
+    popcount of its mask.  Bond and output dimensions are powers of two
+    (powers of the gates' Schmidt ranks, and 2)."""
+    bits: dict[str, int] = {}
+    masks, used = [], 0
+    for labels in shapes:
+        masks.append(0)
+        for label, dim in labels.items():
+            if label not in bits:
+                width = dim.bit_length() - 1
+                bits[label] = ((1 << width) - 1) << used
+                used += width
+            masks[-1] |= bits[label]
+    return tuple(masks)
+
+
+def _chain_price(masks: Sequence[int]) -> tuple[int, int]:
+    """(flops, log2 of the largest intermediate) of folding label masks
+    (:func:`_label_masks`) left to right.  A fold prices ``8 * prod`` of
+    the dims of its labels' union, as :func:`_walk` counts it, and leaves
+    the labels only one side holds."""
+    acc, flops, peak = masks[0], 0, 0
+    for m in masks[1:]:
+        flops += 8 << (acc | m).bit_count()
+        acc ^= m
+        peak = max(peak, acc.bit_count())
+    return flops, peak
+
+
+@functools.lru_cache(maxsize=256)
+def _cheapest_chain(masks: tuple[int, ...]) -> tuple[int, ...]:
+    """Positions of ``masks`` in the order :func:`_region_order` picks,
+    position order being the boundary chain.  A greedy run stops once it
+    prices no fewer flops than the best chain so far or holds a larger
+    intermediate than the boundary chain; memoized because both
+    placements of C share every core."""
+    best = tuple(range(len(masks)))
+    least, bound = _chain_price(masks)
+    for start in best:
+        acc, flops, peak, chain = masks[start], 0, 0, [start]
+        rest = [i for i in best if i != start]
+        while rest and flops < least and peak <= bound:
+            union, size, i = min(
+                ((acc | masks[i]).bit_count(), (acc ^ masks[i]).bit_count(), i)
+                for i in [i for i in rest if acc & masks[i]] or rest)
+            flops += 8 << union
+            acc ^= masks[i]
+            peak = max(peak, size)
+            chain.append(i)
+            rest.remove(i)
+        if not rest and flops < least and peak <= bound:
+            best, least = tuple(chain), flops
+    return best
 
 
 def two_region_plan(lattice: Lattice, region_a: set[int], region_b: set[int],
                     region_c: set[int], cut_bonds: Sequence[tuple[int, int]],
-                    *, c_early: bool = False) -> ContractionPlan:
+                    *, c_early: bool = False,
+                    shapes: Optional[dict[int, dict[str, int]]] = None
+                    ) -> ContractionPlan:
     """Assemble the standard A x B (x C) plan shape used by every builtin:
     cut-free region cores contract once and each loop folds in the sites
-    the newly-opened cut slices.
+    the newly-opened cut slices.  Each core folds in
+    :func:`_region_order`'s order: the boundary chain, or given the site
+    ``shapes`` the plan will be priced on, the cheapest priced chain.
 
     The batch-friendly region C joins in one of two places.  By default it
     joins last, after the A x B join, inside the loops.  With ``c_early``
@@ -719,7 +795,7 @@ def two_region_plan(lattice: Lattice, region_a: set[int], region_b: set[int],
     for rname in ("A", "B", "C"):
         if regions[rname]:
             core = f"{rname}0" if join_at.get(rname) else rname
-            order = _region_order(lattice, regions[rname])
+            order = _region_order(lattice, regions[rname], shapes)
             program.append(("contract", ContractStep(
                 tuple(f"t{s}" for s in order), core, "global")))
             current[rname] = core
@@ -863,27 +939,32 @@ def builtin_plan(lattice: Lattice, depth=None,
     """The builtin plan for this lattice, built from its rule (see
     :func:`_rule`); without ``depth``, :func:`grid_plan`'s default.
 
-    Given ``depth``, it tries each cut count from the rule's default up to
-    all of its bonds (a Bristlecone lattice has one count) until a plan
-    fits ``memory_budget`` (bytes, if given): at each count it builds C
-    joining last and C joining early (see :func:`two_region_plan`), prices
-    both by :func:`estimate_cost` for ``open_sites`` left open,
-    ``itemsize``-byte entries and ``two_qubit_gate``'s bond dimension, and
-    keeps the one that fits at fewer total flops, C last on a tie.  Where
-    no count fits, it fails with a diagnostic.
+    Given ``depth``, it derives the site shapes once, for ``open_sites``
+    left open and ``two_qubit_gate``'s bond dimension, and tries each cut
+    count from the rule's default up to all of its bonds (a Bristlecone
+    lattice has one count) until a plan fits ``memory_budget`` (bytes, if
+    given): at each count it builds C joining last and C joining early
+    (see :func:`two_region_plan`), each core ordered by its price on
+    those shapes, prices both as :func:`estimate_cost` does at
+    ``itemsize``-byte entries, and keeps the one that fits at fewer total
+    flops, C last on a tie.  A priced order can copy larger operands into
+    scratch than the boundary order, so under a budget the
+    boundary-ordered plans compete too, after their priced twins on a
+    tie.  Where no count fits, it fails with a diagnostic.
     """
     if memory_budget is not None and depth is None:
         raise ValueError("memory budgets need the circuit depth")
     if depth is None:
         return grid_plan(lattice)
     cuts, default = _rule(lattice)[2:]
+    shapes, _ = site_shapes(lattice, DepthSpec.parse(depth).t, two_qubit_gate,
+                            open_sites)
+    orders = (shapes,) if memory_budget is None else (shapes, None)
     for n_cuts in range(default, len(cuts) + 1):
         regions = _regions(lattice, n_cuts)
-        plans = [two_region_plan(lattice, *regions, c_early=early)
-                 for early in (False, True)]
-        costs = [estimate_cost(p, lattice, depth, open_sites=open_sites,
-                               itemsize=itemsize, two_qubit_gate=two_qubit_gate)
-                 for p in plans]
+        plans = [two_region_plan(lattice, *regions, c_early=early, shapes=order)
+                 for early in (False, True) for order in orders]
+        costs = [_walk(p, lattice, shapes, itemsize)[0] for p in plans]
         fits = [(cost.total_flops, i) for i, cost in enumerate(costs)
                 if memory_budget is None or cost.peak_bytes <= memory_budget]
         if fits:

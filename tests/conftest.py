@@ -65,6 +65,17 @@ def kernel_backend(request, monkeypatch) -> str:
     return request.param
 
 
+def placement(plan) -> tuple:
+    """What a plan places where, blind to the order each step folds its
+    inputs in: where C first meets the rest, the cuts, the batch sites,
+    and the program with each step's inputs as a set (so each region's
+    membership and the loop where each sliced site joins)."""
+    return (plan.c_join_step(), plan.cuts, plan.batch_sites, [
+        (payload.name, frozenset(payload.inputs), payload.reuse)
+        if kind == "contract" else (kind, payload)
+        for kind, payload in plan.program])
+
+
 def pass_line(tag: str, detail: str) -> None:
     """One-line PASS marker printed by each acceptance check."""
     print(f"PASS {tag}: {detail}")

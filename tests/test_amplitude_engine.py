@@ -22,6 +22,8 @@ from rqcsim.amplitude_engine import (
 from rqcsim.circuits import Lattice, generate_rqc
 from rqcsim.contraction_plan import estimate_cost, grid_plan
 
+from conftest import placement
+
 
 @pytest.fixture(scope="module")
 def engine_4x4(circuit_4x4_t16):
@@ -52,7 +54,7 @@ class TestAmplitude:
         the engine's precision and the circuit's two-qubit gate."""
         lat = Lattice.named("grid:6x6")
         eng = AmplitudeEngine(generate_rqc(lat, "1+16+1", seed=0))
-        assert eng.plan == grid_plan(lat, c_early=True)
+        assert placement(eng.plan) == placement(grid_plan(lat, c_early=True))
         lat = Lattice.named("grid:3x4")
         for gate in ("cz", "iswap"):
             circ = generate_rqc(lat, "1+16+1", seed=0, two_qubit_gate=gate)

@@ -324,7 +324,7 @@ class TestMemoryBudget:
     def test_open_sites_are_priced(self, capsys):
         code, out, err = run(
             capsys, "amplitude", "--lattice", "grid:4x4", "--depth", "1+24+1",
-            "--s-ab", "0" * 16, "--n-c", "4", "--memory-budget", "3M",
+            "--s-ab", "0" * 16, "--n-c", "4", "--memory-budget", "2M",
         )
         assert code == 0, err
         assert json.loads(out.splitlines()[1])["paths"] == 8 ** 3
@@ -350,10 +350,10 @@ class TestMemoryBudget:
     def test_bristlecone_over_budget_in_both_placements_is_2(self, capsys):
         code, out, err = run(
             capsys, "amplitude", "--lattice", "bristlecone-24", "--depth",
-            "1+16+1", "--out", "0" * 24, "--memory-budget", "10K",
+            "1+16+1", "--out", "0" * 24, "--memory-budget", "5K",
         )
         assert code == 2 and not out
-        assert "plan for bristlecone-24 needs ~10664 bytes" in err
+        assert "plan for bristlecone-24 needs ~6056 bytes" in err
 
 
 class TestPlanChoice:
@@ -416,7 +416,7 @@ class TestPlanChoice:
             cfg = json.loads(out.splitlines()[0])["config"]
             echoes.append((cfg["plan_flops"], cfg["plan_peak_bytes"],
                            cfg["c_joins"]))
-        assert echoes[0] == echoes[1] == (207_683_584, 2_234_504, "B0C")
+        assert echoes[0] == echoes[1] == (74_481_664, 759_944, "B0C")
 
 
 class TestExitCodes:

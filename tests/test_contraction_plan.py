@@ -35,8 +35,10 @@ from rqcsim.contraction_plan import (
     two_region_plan,
 )
 from rqcsim.network_builder import (build_3d, contract_grid, contract_time,
-                                    out_label)
+                                    out_label, site_shapes)
 from rqcsim.tensor_core import Tensor
+
+from conftest import placement
 
 
 def closed_net(circ, in_bits=0, out_bits=0):
@@ -230,25 +232,27 @@ class TestPathSum:
 
 
 class TestPlacement:
-    """builtin_plan joins C where estimate_cost prices fewer flops."""
+    """builtin_plan joins C where estimate_cost prices fewer flops.  A
+    depth-priced plan orders its cores by price, so it is compared with a
+    depth-less one by :func:`placement`."""
 
     @pytest.mark.parametrize("kind,depth", [("grid:4x4", "1+16+1"),
                                             ("grid:4x5", "1+24+1"),
                                             ("grid:5x5", "1+24+1")])
     def test_c_last_kept_where_c_touches_a(self, kind, depth):
         lat = Lattice.named(kind)
-        default = format_plan(grid_plan(lat))
+        default = placement(grid_plan(lat))
         for itemsize in (8, 16):
             for open_sites in ((), grid_plan(lat).batch_sites):
                 plan = builtin_plan(lat, depth, open_sites=open_sites,
                                     itemsize=itemsize)
-                assert format_plan(plan) == default
+                assert placement(plan) == default
 
     def test_c_early_on_6x6_prices_a_tenth(self):
         lat = Lattice.named("grid:6x6")
         chosen = builtin_plan(lat, "1+16+1")
         last = grid_plan(lat)
-        assert chosen == grid_plan(lat, c_early=True)
+        assert placement(chosen) == placement(grid_plan(lat, c_early=True))
         assert chosen.c_join_step() == "B0C" and last.c_join_step() == "result"
         assert chosen.batch_sites == last.batch_sites
         assert 10 * estimate_cost(chosen, lat, "1+16+1").total_flops <= \
@@ -257,7 +261,8 @@ class TestPlacement:
     def test_open_c_on_shallow_6x6_keeps_c_last(self):
         lat = Lattice.named("grid:6x6")
         region = grid_plan(lat).batch_sites
-        assert builtin_plan(lat, "1+8+1", open_sites=region) == grid_plan(lat)
+        assert placement(builtin_plan(lat, "1+8+1", open_sites=region)) == \
+            placement(grid_plan(lat))
         assert builtin_plan(lat, "1+8+1").c_join_step() == "B0C"
 
     # kind -> cut bonds, batch sites, leading hex digits of the sha256 of
@@ -296,7 +301,8 @@ class TestPlacement:
         lat = Lattice.named("bristlecone-24")
         plan = builtin_plan(lat, "1+32+1", itemsize=8)
         assert plan.c_join_step() == "B0C"
-        assert estimate_cost(plan, lat, "1+32+1").total_flops == 207_683_584
+        cost = estimate_cost(plan, lat, "1+32+1")
+        assert (cost.total_flops, cost.peak_bytes) == (74_481_664, 759_944)
         assert (plan.cuts, plan.batch_sites) == \
             (builtin_plan(lat).cuts, builtin_plan(lat).batch_sites)
 
@@ -305,13 +311,28 @@ class TestPlacement:
         lat = Lattice.named("bristlecone-24")
         last = builtin_plan(lat)
         for itemsize in (8, 16):
-            assert builtin_plan(lat, depth, open_sites=last.batch_sites,
-                                itemsize=itemsize) == last
+            assert placement(builtin_plan(lat, depth,
+                                          open_sites=last.batch_sites,
+                                          itemsize=itemsize)) == placement(last)
+
+    def test_budget_keeps_a_boundary_plan_that_fits(self):
+        """A priced order can copy larger operands into scratch than the
+        boundary order: with C open at 1+13+1, bristlecone-24's priced
+        plan holds 30,864 bytes and its boundary-ordered C-last plan
+        26,768, so that budget keeps the latter rather than refusing."""
+        lat = Lattice.named("bristlecone-24")
+        sites = builtin_plan(lat).batch_sites
+        free = builtin_plan(lat, "1+13+1", open_sites=sites)
+        capped = builtin_plan(lat, "1+13+1", 26_768, open_sites=sites)
+        assert capped == grid_plan(lat) and free != capped
+        assert [estimate_cost(p, lat, "1+13+1", open_sites=sites).peak_bytes
+                for p in (free, capped)] == [30_864, 26_768]
 
     def test_tie_keeps_c_last(self, grid_4x4, monkeypatch):
-        monkeypatch.setattr(contraction_plan, "estimate_cost",
-                            lambda *a, **k: CostEstimate(1, 1, 1))
-        assert builtin_plan(grid_4x4, "1+16+1") == grid_plan(grid_4x4)
+        monkeypatch.setattr(contraction_plan, "_walk",
+                            lambda *a, **k: (CostEstimate(1, 1, 1), None))
+        assert placement(builtin_plan(grid_4x4, "1+16+1")) == \
+            placement(grid_plan(grid_4x4))
 
     def test_early_plan_joins_c_core_into_b_core_before_loops(self, grid_4x4):
         plan = grid_plan(grid_4x4, n_cuts=4, c_early=True)
@@ -339,19 +360,99 @@ def _recounted_region_order(lattice, sites):
 
 
 class TestRegionOrder:
-    """Ranking candidates by the boundary change gives the order a full
-    recount gives, on every builtin plan's regions."""
+    """Without shapes, ranking candidates by the boundary change gives the
+    order a full recount gives, on every depth-less builtin plan's regions
+    in both placements."""
 
     @pytest.mark.parametrize("kind", [f"grid:{r}x{c}" for r in range(2, 9)
                                       for c in range(2, 9)]
                              + sorted(contraction_plan._BRISTLECONE))
     def test_builtin_plans_match_a_boundary_recount(self, kind, monkeypatch):
         lat = Lattice.named(kind)
-        depths = (None, "1+8+1", "1+24+1")
-        fast = [format_plan(builtin_plan(lat, d)) for d in depths]
+        fast = [format_plan(grid_plan(lat, c_early=e)) for e in (False, True)]
         monkeypatch.setattr(contraction_plan, "_region_order",
-                            _recounted_region_order)
-        assert fast == [format_plan(builtin_plan(lat, d)) for d in depths]
+                            lambda lat, sites, shapes=None:
+                            _recounted_region_order(lat, sites))
+        assert fast == [format_plan(grid_plan(lat, c_early=e))
+                        for e in (False, True)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(lat=st.one_of(
+        st.tuples(st.integers(1, 5), st.integers(1, 5)).filter(
+            lambda rc: rc[0] * rc[1] >= 2).map(lambda rc: "grid:%dx%d" % rc),
+        st.just("bristlecone-24")).map(Lattice.named),
+        t=st.integers(0, 16), open_c=st.booleans(), c_early=st.booleans(),
+        gate=st.sampled_from(["cz", "iswap"]), data=st.data())
+    def test_priced_order_is_no_worse_than_the_boundary_chain(
+            self, lat, t, open_c, c_early, gate, data):
+        """Each core of a priced plan folds its region's sites in a chain
+        of no more flops and no larger intermediate than the boundary
+        chain, priced exactly as the walk prices that step; on small grids
+        the plan's amplitudes match the dense state in both precisions."""
+        n_cuts = data.draw(st.integers(0, len(contraction_plan._rule(lat)[2])))
+        regions = contraction_plan._regions(lat, n_cuts)
+        open_sites = tuple(sorted(regions[2])) if open_c else ()
+        shapes, _ = site_shapes(lat, t, gate, open_sites)
+        plan = two_region_plan(lat, *regions, c_early=c_early, shapes=shapes)
+        boundary = two_region_plan(lat, *regions, c_early=c_early)
+        walked = {sc.name: sc.flops for sc in contraction_plan._walk(
+            plan, lat, shapes, 8)[0].steps}
+        first_loop = next((i for i, (kind, _) in enumerate(plan.program)
+                           if kind == "loop"), len(plan.program))
+        cores = [(priced, chain) for (kind, priced), (_, chain) in zip(
+            plan.program[:first_loop], boundary.program[:first_loop])
+            if kind == "contract"
+            and all(re.fullmatch(r"t\d+", n) for n in chain.inputs)]
+        for priced, chain in cores:
+            assert sorted(priced.inputs) == sorted(chain.inputs)
+            masks = dict(zip(chain.inputs, contraction_plan._label_masks(
+                [shapes[int(n[1:])] for n in chain.inputs])))
+            price = contraction_plan._chain_price(
+                [masks[n] for n in priced.inputs])
+            least = contraction_plan._chain_price(
+                [masks[n] for n in chain.inputs])
+            assert price[0] <= least[0] and price[1] <= least[1]
+            assert price[0] == walked[priced.name]
+        if not lat.kind.startswith("grid:") or lat.n > 12:
+            return
+        circ = generate_rqc(lat, f"1+{t}+1", seed=t, two_qubit_gate=gate)
+        out = data.draw(st.integers(0, 2 ** lat.n - 1), label="out")
+        bit = {q: out >> (lat.n - 1 - q) & 1 for q in range(lat.n)}
+        state = oracle.evolve(circ)
+        index = [sum(b << (lat.n - 1 - q) for q, b in
+                     {**bit, **dict(zip(open_sites, bits))}.items())
+                 for bits in itertools.product((0, 1), repeat=len(open_sites))]
+        want = state[index].reshape((2,) * len(open_sites))
+        labels = [out_label(q) for q in open_sites]
+        for dtype, tol in ((np.complex64, 1e-5), (np.complex128, 1e-10)):
+            net = contract_time(build_3d(circ, 0, None, dtype=dtype)).fix_outputs(
+                {q: b for q, b in bit.items() if q not in open_sites})
+            ex = PlanExecutor(net, plan)
+            got = sum(ex.run(p).transpose_to(labels).array
+                      for p in enumerate_paths(ex.cut_dims))
+            scale = tol * max(np.abs(want).max(), 2 ** (-lat.n / 2))
+            assert np.abs(got - want).max() <= scale
+
+    def test_bristlecone24_c_core_is_the_left_deep_optimum(self):
+        """At 1+32+1 the C core of the closed bristlecone-24 plan prices
+        the fewest flops of any left-deep order, found by a search over
+        every subset of C."""
+        lat = Lattice.named("bristlecone-24")
+        plan = builtin_plan(lat, "1+32+1")
+        flops = {sc.name: sc.flops
+                 for sc in estimate_cost(plan, lat, "1+32+1").steps}
+        shapes, _ = site_shapes(lat, 32)
+        masks = contraction_plan._label_masks(
+            [shapes[s] for s in plan.batch_sites])
+        best = {1 << i: (0, m) for i, m in enumerate(masks)}  # subset -> (flops, labels)
+        for subset in range(1, 1 << len(masks)):
+            if subset not in best:
+                best[subset] = min(
+                    (best[subset ^ 1 << i][0] + 8 * 2 ** (
+                        best[subset ^ 1 << i][1] | m).bit_count(),
+                     best[subset ^ 1 << i][1] ^ m)
+                    for i, m in enumerate(masks) if subset >> i & 1)
+        assert flops["C"] == best[(1 << len(masks)) - 1][0] == 10_485_760
 
 
 # (lattice, depth, memory budget): budgets that keep the default cut count,
@@ -362,8 +463,33 @@ GOLDEN_BUDGETS = [("grid:6x6", "1+16+1", 500_000_000),
                   ("grid:6x6", "1+16+1", 500_000),
                   ("grid:4x4", "1+16+1", 40_000),
                   ("grid:3x8", "1+24+1", 7_000_000),
-                  ("bristlecone-24", "1+32+1", 2_234_504),
-                  ("bristlecone-24", "1+32+1", 2_234_503)]
+                  ("bristlecone-24", "1+32+1", 759_944),
+                  ("bristlecone-24", "1+32+1", 759_943)]
+
+
+GOLDEN_KINDS = [f"grid:{r}x{c}" for r in range(1, 9) for c in range(1, 9)
+                if r * c >= 2] + [f"bristlecone-{n}" for n in BRISTLECONE_SIZES]
+
+
+def _priced_cases(lat):
+    """(case, builtin_plan keywords) for each depth-priced plan of the
+    sweep on ``lat``: three depths, both precisions, C closed and open."""
+    try:
+        c_sites = builtin_plan(lat).batch_sites
+    except PlanError:
+        c_sites = ()
+    for depth in ("1+8+1", "1+16+1", "1+24+1"):
+        for itemsize in (8, 16):
+            for sites in ((), c_sites):
+                yield (lat.kind, depth, itemsize, sites), dict(
+                    depth=depth, open_sites=sites, itemsize=itemsize)
+
+
+def _outcome(build):
+    try:
+        return format_plan(build())
+    except (PlanError, MemoryBudgetError) as exc:
+        return type(exc).__name__
 
 
 def _golden_sweep():
@@ -372,34 +498,18 @@ def _golden_sweep():
     depth and at three depths, both precisions, C closed and open;
     grid_plan for cut counts 0-8 in both placements on the rectangles; and
     :data:`GOLDEN_BUDGETS`."""
-    def outcome(build):
-        try:
-            return format_plan(build())
-        except (PlanError, MemoryBudgetError) as exc:
-            return type(exc).__name__
-
-    kinds = [f"grid:{r}x{c}" for r in range(1, 9) for c in range(1, 9)
-             if r * c >= 2] + [f"bristlecone-{n}" for n in BRISTLECONE_SIZES]
-    for kind in kinds:
+    for kind in GOLDEN_KINDS:
         lat = Lattice.named(kind)
-        yield kind, outcome(lambda: builtin_plan(lat))
-        try:
-            c_sites = builtin_plan(lat).batch_sites
-        except PlanError:
-            c_sites = ()
-        for depth in ("1+8+1", "1+16+1", "1+24+1"):
-            for itemsize in (8, 16):
-                for sites in ((), c_sites):
-                    yield (kind, depth, itemsize, sites), outcome(
-                        lambda: builtin_plan(lat, depth, open_sites=sites,
-                                             itemsize=itemsize))
+        yield kind, _outcome(lambda: builtin_plan(lat))
+        for case, kw in _priced_cases(lat):
+            yield case, _outcome(lambda: builtin_plan(lat, **kw))
         if kind.startswith("grid:"):
             for n_cuts in range(9):
                 for c_early in (False, True):
-                    yield (kind, n_cuts, c_early), outcome(
+                    yield (kind, n_cuts, c_early), _outcome(
                         lambda: grid_plan(lat, n_cuts, c_early=c_early))
     for kind, depth, budget in GOLDEN_BUDGETS:
-        yield (kind, depth, budget), outcome(
+        yield (kind, depth, budget), _outcome(
             lambda: builtin_plan(Lattice.named(kind), depth, budget))
 
 
@@ -408,7 +518,7 @@ class TestGoldenPlans:
     change to any lattice's rule, to the placement or budget choice, or to
     the plan assembly moves it; such a change re-pins it on purpose."""
 
-    DIGEST = "e65e27e70a1202edf7f8f8cb3d55b72421b535c9308bb305c764e7a58bbe666b"
+    DIGEST = "c3cf1ba9a42e9acf08c0464ccb2489d7d4f08df565b1482cc51dfbb8fed8ea49"
 
     def test_sweep_digest(self):
         digest = hashlib.sha256()
@@ -419,6 +529,41 @@ class TestGoldenPlans:
         assert len(outcomes) == 2065
         assert sum(text.startswith("plan ") for text in outcomes) == 1435
         assert digest.hexdigest() == self.DIGEST
+
+    def test_priced_orders_cost_no_more_than_the_boundary_order(
+            self, monkeypatch):
+        """Every depth-priced plan of the sweep, budgets included, prices
+        no more flops than builtin_plan gives with every core in its
+        boundary order, and fits wherever that does."""
+        cases = [(Lattice.named(kind), kw) for kind in GOLDEN_KINDS
+                 for _, kw in _priced_cases(Lattice.named(kind))] + [
+            (Lattice.named(kind), dict(depth=depth, memory_budget=budget))
+            for kind, depth, budget in GOLDEN_BUDGETS]
+
+        def flops():
+            for lat, kw in cases:
+                try:
+                    plan = builtin_plan(lat, **kw)
+                except (PlanError, MemoryBudgetError):
+                    yield None
+                    continue
+                yield estimate_cost(plan, lat, kw["depth"],
+                                    open_sites=kw.get("open_sites", ()),
+                                    itemsize=kw.get("itemsize", 8)).total_flops
+
+        priced = list(flops())
+        monkeypatch.setattr(contraction_plan, "_cheapest_chain",
+                            lambda masks: tuple(range(len(masks))))
+        boundary = list(flops())
+        assert all(b is None or (p is not None and p <= b)
+                   for p, b in zip(priced, boundary))
+        # cases, plans priced with and without the search, and strictly
+        # cheaper ones: only the 759,944-byte bristlecone-24 budget fits
+        # the priced plan alone
+        assert (len(cases), sum(p is not None for p in priced),
+                sum(b is not None for b in boundary),
+                sum(b is not None and p < b
+                    for p, b in zip(priced, boundary))) == (860, 834, 833, 596)
 
 
 class TestBristleconeTable:
@@ -537,7 +682,7 @@ class TestCostModel:
         ex = fresh_run(net, plan)
         est = estimate_cost(plan, lat, "1+8+1")
         assert (ex.flops, ex.peak_bytes) == (est.total_flops, est.peak_bytes) \
-            == (1_873_920, 83_720)
+            == (1_488_768, 83_720)
 
     def test_deeper_circuits_cost_more(self, grid_4x4):
         plan = grid_plan(grid_4x4, n_cuts=2)
