@@ -29,7 +29,6 @@ from .circuits import (
     Lattice,
     cross_gate_count,
     cz_cut_count,
-    edge_activations,
     generate_rqc,
     parse_circuit,
     write_circuit,
@@ -80,7 +79,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Circuit", "DepthSpec", "Gate", "Lattice",
-    "cross_gate_count", "cz_cut_count", "edge_activations", "generate_rqc",
+    "cross_gate_count", "cz_cut_count", "generate_rqc",
     "parse_circuit", "write_circuit",
     "evolve", "exact_amplitude", "exact_distribution",
     "Tensor", "plan_permutation", "permute_fast", "permute_naive",

@@ -98,8 +98,7 @@ class AmplitudeEngine:
         self.circuit = circuit
         self.dtype = np.dtype(dtype)
         self.plan = plan if plan is not None else builtin_plan(
-            circuit.lattice, circuit.depth, itemsize=self.dtype.itemsize,
-            two_qubit_gate=circuit.two_qubit_gate)
+            circuit.lattice, circuit, itemsize=self.dtype.itemsize)
         self.thread_count = thread_count
         self.memory_budget = memory_budget
         self.trace = trace

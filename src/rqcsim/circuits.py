@@ -229,8 +229,19 @@ class DepthSpec:
         return f"1+{self.t}+1"
 
 
+def cycle_error(gate: Gate, depth: DepthSpec) -> Optional[str]:
+    """Why ``gate`` has no place in a ``1+t+1`` circuit, or None: two-qubit
+    gates belong to cycles 1..t, one-qubit gates to cycles 0..t+1."""
+    first, last = (1, depth.t) if len(gate.qubits) == 2 else (0, depth.t + 1)
+    if not first <= gate.cycle <= last:
+        return (f"{gate.name} at cycle {gate.cycle} outside cycles "
+                f"{first}..{last} of depth {depth}")
+    return None
+
+
 class Circuit:
-    """An ordered gate list on a lattice, grouped by cycle."""
+    """An ordered gate list on a lattice, grouped by cycle (see
+    :func:`cycle_error`)."""
 
     def __init__(self, lattice: Lattice, depth, gates: Sequence[Gate],
                  meta: Optional[dict] = None):
@@ -245,6 +256,9 @@ class Circuit:
     def _validate(self):
         seen: set[tuple[int, int]] = set()
         for g in self.gates:
+            late = cycle_error(g, self.depth)
+            if late:
+                raise ValueError(late)
             for q in g.qubits:
                 if not 0 <= q < self.n:
                     raise ValueError(f"gate {g} references qubit {q} outside 0..{self.n - 1}")
@@ -262,14 +276,6 @@ class Circuit:
 
     def two_qubit_gates(self) -> list[Gate]:
         return [g for g in self.gates if len(g.qubits) == 2]
-
-    @property
-    def two_qubit_gate(self) -> str:
-        """The circuit's two-qubit gate ("cz" if it has none); of a mix,
-        the one of highest Schmidt rank, so bonds priced by it are never
-        smaller than the network's."""
-        names = {g.name for g in self.two_qubit_gates()} or {"cz"}
-        return max(names, key=SCHMIDT_RANK.__getitem__)
 
     def __eq__(self, other):
         return (isinstance(other, Circuit)
@@ -305,20 +311,6 @@ def pattern_bonds(lattice: Lattice, pattern: int) -> list[tuple[int, int]]:
     for a, b in lattice.edges():
         if _edge_pattern(lattice.coords(a), lattice.coords(b)) == pattern % 8:
             out.append((a, b))
-    return out
-
-
-def edge_activations(lattice: Lattice, t: int) -> dict[tuple[int, int], int]:
-    """How many of the t two-qubit cycles activate each bond.
-
-    Bond e is active in cycles c with (c-1) mod 8 == pattern(e), so the
-    count is a closed form of t and the pattern index; at t a multiple of
-    8 every bond is active exactly t/8 times.
-    """
-    out = {}
-    for a, b in lattice.edges():
-        p = _edge_pattern(lattice.coords(a), lattice.coords(b))
-        out[(a, b)] = 0 if t <= p else (t - p - 1) // 8 + 1
     return out
 
 
@@ -421,6 +413,8 @@ def parse_circuit(text: str, lattice: Optional[Lattice] = None) -> Circuit:
 
     If no lattice is given, it is recovered from the ``# lattice:`` header
     or, failing that, inferred as the smallest rectangle holding all qubits.
+    The depth is the ``# depth:`` header's or else the smallest ``1+t+1``
+    that holds every gate (:func:`cycle_error`), which refuses the rest.
     """
     lines = text.splitlines()
     if not lines:
@@ -435,7 +429,7 @@ def parse_circuit(text: str, lattice: Optional[Lattice] = None) -> Circuit:
 
     meta: dict[str, str] = {}
     raw_gates: list[tuple[int, int, str, tuple[int, ...]]] = []
-    max_cycle = 0
+    min_t = 0  # smallest t whose cycles hold every gate
     for lineno, raw in enumerate(lines[1:], start=2):
         stripped = raw.strip()
         if not stripped:
@@ -464,7 +458,7 @@ def parse_circuit(text: str, lattice: Optional[Lattice] = None) -> Circuit:
             if not 0 <= q < n:
                 raise CircuitFormatError(f"qubit {q} outside 0..{n - 1}", lineno)
         raw_gates.append((lineno, cycle, name, qubits))
-        max_cycle = max(max_cycle, cycle)
+        min_t = max(min_t, cycle if len(qubits) == 2 else cycle - 1)
 
     if lattice is None:
         if "lattice" in meta:
@@ -478,7 +472,7 @@ def parse_circuit(text: str, lattice: Optional[Lattice] = None) -> Circuit:
     if "depth" in meta:
         depth = _from_meta(DepthSpec.parse, meta, "depth")
     else:
-        depth = DepthSpec(max(0, max_cycle - 1))
+        depth = DepthSpec(min_t)
 
     gates = []
     seen: set[tuple[int, int]] = set()
@@ -490,7 +484,11 @@ def parse_circuit(text: str, lattice: Optional[Lattice] = None) -> Circuit:
         if len(qubits) == 2 and not lattice.adjacent(*qubits):
             raise CircuitFormatError(
                 f"two-qubit gate on non-adjacent qubits {qubits[0]} {qubits[1]}", lineno)
-        gates.append(Gate(cycle, name, qubits))
+        gate = Gate(cycle, name, qubits)
+        late = cycle_error(gate, depth)
+        if late:
+            raise CircuitFormatError(late, lineno)
+        gates.append(gate)
 
     return Circuit(lattice, depth, gates, meta=meta)
 

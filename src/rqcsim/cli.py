@@ -263,11 +263,11 @@ def _load_circuit(args):
 
 def _make_engine(args, circuit, batch: bool = False):
     """The engine the arguments ask for, its plan's price for the config
-    echo, and for a batch command the open sites.  The plan is priced at
-    those sites, the circuit's depth, the precision and the circuit's
-    two-qubit gate: a builtin plan (``auto``, the circuit's lattice, or a
-    named lattice) is chosen by that price and cut to fit a memory budget,
-    and every plan is checked against the budget before it runs."""
+    echo, and for a batch command the open sites.  The plan is priced on
+    the circuit's own gates, those sites and the precision: a builtin plan
+    (``auto`` or a lattice name, which must be the circuit's lattice) is
+    chosen by that price and cut to fit a memory budget, and every plan
+    is checked against the budget before it runs."""
     budget = _parse_bytes(args.memory_budget) if args.memory_budget else None
     dtype = np.dtype(np.complex64 if args.precision == "single" else np.complex128)
     c_sites = _c_sites_arg(args, circuit) if batch else ()
@@ -278,9 +278,8 @@ def _make_engine(args, circuit, batch: bool = False):
     if named is not None:
         if c_sites is None:  # every placement and cut count batches over one region
             c_sites = builtin_plan(named).batch_sites
-        plan = builtin_plan(named, circuit.depth, memory_budget=budget,
-                            open_sites=c_sites, itemsize=dtype.itemsize,
-                            two_qubit_gate=circuit.two_qubit_gate)
+        plan = builtin_plan(named, circuit, memory_budget=budget,
+                            open_sites=c_sites, itemsize=dtype.itemsize)
     else:
         try:
             plan = load_plan(args.plan)
@@ -293,9 +292,8 @@ def _make_engine(args, circuit, batch: bool = False):
     engine = AmplitudeEngine(circuit, plan, dtype=dtype,
                              thread_count=_threads_arg(args),
                              memory_budget=budget)
-    cost = estimate_cost(plan, circuit.lattice, circuit.depth, open_sites=c_sites,
-                         itemsize=dtype.itemsize,
-                         two_qubit_gate=circuit.two_qubit_gate)
+    cost = estimate_cost(plan, circuit.lattice, circuit, open_sites=c_sites,
+                         itemsize=dtype.itemsize)
     plan_echo = {"plan_flops": cost.total_flops,
                  "plan_peak_bytes": cost.peak_bytes,
                  "c_joins": plan.c_join_step()}

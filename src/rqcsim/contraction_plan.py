@@ -35,21 +35,21 @@ dependency set, prices flops per step and over the whole path space and
 a bound on the bytes the executor holds at once, and compiles the plan
 (:class:`Compiled`): each fold's operand slots and its
 :class:`~rqcsim.tensor_core.Route`, and each sliced site tensor's axes.
-:func:`estimate_cost` runs it on shapes derived from the lattice and
-depth, :class:`PlanExecutor` on the shapes of its network, so a plan
-accepted under a memory budget also runs under it.  Memoized per network
-shape, it lets the executor run every path on bare arrays, fixing cut
-values by basic indexing (views) rather than copies.
+:func:`estimate_cost` runs it on the shapes a circuit's own gates give
+(:func:`site_shapes`), :class:`PlanExecutor` on those of the network
+built from them, so a plan accepted under a memory budget also runs
+under it.  Memoized per network shape, it lets the executor run every
+path on bare arrays, fixing cut values by basic indexing (views).
 
 Every builtin plan comes from its lattice's one rule (:func:`_rule`): a
 balanced split across the waist of a rectangle, and for each Bristlecone
 lattice a row priced offline and listed here.  The batch region C joins
 in one of two places: last, after the A x B join, or early, its core
-contracted into B's before the loops.  Given the run's depth, open sites,
-precision and two-qubit gate, ``builtin_plan`` orders each region's core
-by its price on those site shapes (:func:`_region_order`), prices both
-placements and keeps the one with fewer flops (C last on a tie), cutting
-more of the rule's bonds only where a memory budget needs it.
+contracted into B's before the loops.  Given the circuit, open sites and
+precision, ``builtin_plan`` orders each region's core by its price on
+those site shapes (:func:`_region_order`), prices both placements and
+keeps the one with fewer flops (C last on a tie), cutting more of the
+rule's bonds only where a memory budget needs it.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import _kernels
-from .circuits import DepthSpec, Lattice
+from .circuits import Circuit, Lattice, generate_rqc
 from .network_builder import FOLDED_CORNERS, Net2D, edge_label, site_shapes
 from .tensor_core import (Tensor, contract_arrays, route, trim_scratch,
                           workspace_slots)
@@ -642,22 +642,30 @@ def _priced(plan: ContractionPlan, lattice: Lattice,
     return _walk(plan, lattice, {s: dict(ls) for s, ls in shapes}, itemsize)
 
 
+def _layout(lattice: Lattice, depth) -> Circuit:
+    """``depth`` if it is the :class:`Circuit` that runs, else the layout
+    generated at that depth spec (placement does not depend on the seed)."""
+    circuit = depth if isinstance(depth, Circuit) else generate_rqc(lattice, depth, 0)
+    if circuit.lattice != lattice:
+        raise PlanError(f"plan lattice {lattice.kind} does not match the "
+                        f"circuit's {circuit.lattice.kind}")
+    return circuit
+
+
 def estimate_cost(plan: ContractionPlan, lattice: Lattice, depth, *,
                   open_sites: Sequence[int] = (),
-                  itemsize: int = 8,
-                  two_qubit_gate: str = "cz") -> CostEstimate:
-    """Price ``plan`` over its full path space from the lattice and depth
-    alone, without building a network.
+                  itemsize: int = 8) -> CostEstimate:
+    """Price ``plan`` over its full path space without building a network.
 
-    Site shapes come from :func:`site_shapes`, the shapes ``contract_time``
-    gives this depth, gate and ``open_sites``.  They go through the same
-    shape walk a :class:`PlanExecutor` runs on its network, so for a
-    network of this circuit, open sites and ``itemsize`` the two agree
-    exactly: ``total_flops`` is what the executor counts over every path,
-    and ``peak_bytes`` is its ``peak_bytes``.
+    ``depth`` is the :class:`Circuit` that runs, or a depth spec for the
+    generated layout.  Site shapes come from :func:`site_shapes`, the
+    shapes ``contract_time`` gives its gates and ``open_sites``.  They go
+    through the same shape walk a :class:`PlanExecutor` runs on its
+    network, so for a network of this circuit, open sites and ``itemsize``
+    the two agree exactly: ``total_flops`` is what the executor counts
+    over every path, and ``peak_bytes`` is its ``peak_bytes``.
     """
-    shapes, _ = site_shapes(lattice, DepthSpec.parse(depth).t,
-                            two_qubit_gate, open_sites)
+    shapes = site_shapes(_layout(lattice, depth), open_sites)
     return _walk(plan, lattice, shapes, itemsize)[0]
 
 
@@ -934,31 +942,31 @@ def load_plan(source) -> ContractionPlan:
 def builtin_plan(lattice: Lattice, depth=None,
                  memory_budget: Optional[int] = None, *,
                  open_sites: Sequence[int] = (),
-                 itemsize: int = 8,
-                 two_qubit_gate: str = "cz") -> ContractionPlan:
+                 itemsize: int = 8) -> ContractionPlan:
     """The builtin plan for this lattice, built from its rule (see
     :func:`_rule`); without ``depth``, :func:`grid_plan`'s default.
 
-    Given ``depth``, it derives the site shapes once, for ``open_sites``
-    left open and ``two_qubit_gate``'s bond dimension, and tries each cut
-    count from the rule's default up to all of its bonds (a Bristlecone
-    lattice has one count) until a plan fits ``memory_budget`` (bytes, if
-    given): at each count it builds C joining last and C joining early
-    (see :func:`two_region_plan`), each core ordered by its price on
-    those shapes, prices both as :func:`estimate_cost` does at
-    ``itemsize``-byte entries, and keeps the one that fits at fewer total
-    flops, C last on a tie.  A priced order can copy larger operands into
-    scratch than the boundary order, so under a budget the
-    boundary-ordered plans compete too, after their priced twins on a
-    tie.  Where no count fits, it fails with a diagnostic.
+    Given ``depth`` (a circuit or depth spec, as :func:`estimate_cost`
+    takes it), it derives the site shapes once, for ``open_sites`` left
+    open, and tries each cut count from the rule's default up to all of
+    its bonds (a Bristlecone lattice has one count) until a plan fits
+    ``memory_budget`` (bytes, if given): at each count it builds C joining
+    last and C joining early (see :func:`two_region_plan`), each core
+    ordered by its price on those shapes, prices both as
+    :func:`estimate_cost` does at ``itemsize``-byte entries, and keeps the
+    one that fits at fewer total flops, C last on a tie.  A priced order
+    can copy larger operands into scratch than the boundary order, so
+    under a budget the boundary-ordered plans compete too, after their
+    priced twins on a tie.  Where no count fits, it fails with a
+    diagnostic.
     """
     if memory_budget is not None and depth is None:
         raise ValueError("memory budgets need the circuit depth")
     if depth is None:
         return grid_plan(lattice)
     cuts, default = _rule(lattice)[2:]
-    shapes, _ = site_shapes(lattice, DepthSpec.parse(depth).t, two_qubit_gate,
-                            open_sites)
+    circuit = _layout(lattice, depth)
+    shapes = site_shapes(circuit, open_sites)
     orders = (shapes,) if memory_budget is None else (shapes, None)
     for n_cuts in range(default, len(cuts) + 1):
         regions = _regions(lattice, n_cuts)
@@ -971,5 +979,5 @@ def builtin_plan(lattice: Lattice, depth=None,
             return plans[min(fits)[1]]
     raise MemoryBudgetError(
         f"plan for {lattice.kind} needs ~{min(c.peak_bytes for c in costs)} "
-        f"bytes at depth {DepthSpec.parse(depth)} with all {len(cuts)} of its "
+        f"bytes at depth {circuit.depth} with all {len(cuts)} of its "
         f"cut bonds, budget is {memory_budget}")

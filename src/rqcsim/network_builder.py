@@ -1,21 +1,24 @@
 """Build the circuit's tensor network and contract it down to the grid.
 
 The network is assembled in two stages.  ``build_3d`` makes one small
-block tensor per qubit per 8-cycle window: single-qubit gates multiply
-into the block along its time index, while each two-qubit gate leaves a
-bond index shared with the neighbor's block (two-qubit gates enter in
-rank-revealing factored form, so a CZ costs one binary index and an
-iSWAP one of dimension 4, instead of a dense 4x4 link).  Input/output
-basis states fold into the first/last blocks; selected outputs may stay
-open.
+block tensor per qubit per 8-cycle window: every gate of the circuit
+folds in at its own cycle (cycle 0 in the first window, cycle t+1 in the
+last).  Single-qubit gates multiply into the block along its time index,
+while each two-qubit gate leaves a bond index of its own shared with the
+neighbor's block (two-qubit gates enter in rank-revealing factored form,
+so a CZ costs one binary index and an iSWAP one of dimension 4, instead
+of a dense 4x4 link).  Input/output basis states fold into the
+first/last blocks; selected outputs may stay open.
 
 ``contract_time`` then collapses each qubit's blocks along time and
-merges the per-window bonds of every lattice edge into a single index
-whose dimension is the product of their Schmidt ranks, yielding one
-tensor per site -- a 2D network shaped like the lattice, ready for the
-contraction planner.  Each site tensor is laid out with one transpose,
-straight into :func:`site_label_order`, and one reshape.  Its output
-indexes lead, so fixing output bits takes views, not copies.
+merges the gate bonds of every lattice edge into a single index whose
+dimension is the product of their Schmidt ranks, yielding one tensor per
+site -- a 2D network shaped like the lattice, ready for the contraction
+planner.  One layout, :func:`site_layout`, read from the circuit's own
+gates, says how: ``contract_time`` lays out each site tensor by it with
+one transpose and one reshape, and :func:`site_shapes` gives the
+planner the same shapes without building anything.  Output indexes lead
+each site tensor, so fixing output bits takes views, not copies.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .circuits import SCHMIDT_RANK, Circuit, Lattice, edge_activations
+from .circuits import SCHMIDT_RANK, Circuit, Lattice
 from .tensor_core import Tensor, contract
 
 # Gate matrices, U[out, in].  (The reference simulator keeps its own copies;
@@ -83,8 +86,8 @@ def time_bond(q: int, w: int) -> str:
     return f"t{q}w{w}"
 
 
-def window_bond(w: int, a: int, b: int) -> str:
-    return f"b{w}_{a}_{b}"
+def gate_bond(cycle: int, a: int, b: int) -> str:
+    return f"g{cycle}_{a}_{b}"
 
 
 def edge_label(a: int, b: int) -> str:
@@ -130,31 +133,34 @@ def _corner_folds(lattice: Lattice) -> list[tuple[int, int]]:
     return [(c, lattice.neighbors(c)[0]) for c in corners]
 
 
-def _bond_dims(lattice: Lattice, dims: dict[int, dict[str, int]]):
-    """Dimension of every lattice bond still carried by a site tensor."""
-    return {(a, b): dims[a][edge_label(a, b)] for a, b in lattice.edges()
-            if edge_label(a, b) in dims.get(a, ())}
-
-
-def site_shapes(lattice: Lattice, t: int, two_qubit_gate: str = "cz",
-                open_sites: Iterable[int] = ()):
-    """Site shapes (site -> label -> dim, in index order) and bond
-    dimensions of the network :func:`contract_time` gives a ``t``-cycle
-    circuit with ``open_sites`` left open, without building it: each gate
-    on a bond multiplies its dimension by ``two_qubit_gate``'s Schmidt
-    rank, and an open site adds a dimension-2 output index."""
-    rank = SCHMIDT_RANK[two_qubit_gate]
-    shapes: dict[int, dict[str, int]] = {site: {} for site in range(lattice.n)}
-    for (a, b), k in edge_activations(lattice, t).items():
-        if k > 0:
-            shapes[a][edge_label(a, b)] = shapes[b][edge_label(a, b)] = rank ** k
+def site_layout(circuit: Circuit, open_sites: Iterable[int] = ()):
+    """Index layout of every site tensor :func:`contract_time` builds for
+    ``circuit`` with ``open_sites`` left open, read from its gates: site
+    -> index label -> the (bond label, dim) members merged into that
+    index, in index order.  An open site's output is one member of
+    dimension 2; a lattice edge merges the bond of every two-qubit gate
+    on it, in cycle order, each of its gate's Schmidt rank.  Folded
+    corners join their neighbours, their shared edge contracted away."""
+    groups: dict[int, dict[str, list]] = {site: {} for site in range(circuit.n)}
+    for g in circuit.two_qubit_gates():  # gates are sorted by cycle
+        member = (gate_bond(g.cycle, *g.qubits), SCHMIDT_RANK[g.name])
+        for q in g.qubits:
+            groups[q].setdefault(edge_label(*g.qubits), []).append(member)
     for site in open_sites:
-        shapes[site][out_label(site)] = 2
-    for corner, nbr in _corner_folds(lattice):
-        shapes[nbr].update(shapes.pop(corner))
-        shapes[nbr].pop(edge_label(corner, nbr), None)
-    shapes = {s: {l: d[l] for l in site_label_order(d)} for s, d in shapes.items()}
-    return shapes, _bond_dims(lattice, shapes)
+        groups[site][out_label(site)] = [(out_label(site), 2)]
+    for corner, nbr in _corner_folds(circuit.lattice):
+        groups[nbr].update(groups.pop(corner))
+        groups[nbr].pop(edge_label(corner, nbr), None)
+    return {s: {l: tuple(d[l]) for l in site_label_order(d)}
+            for s, d in groups.items()}
+
+
+def site_shapes(circuit: Circuit, open_sites: Iterable[int] = ()):
+    """Site shapes (site -> label -> dim, in index order) of the network
+    :func:`contract_time` gives ``circuit`` with ``open_sites`` left open,
+    without building it: :func:`site_layout`'s merged dimensions."""
+    return {s: {l: math.prod(d for _, d in m) for l, m in ls.items()}
+            for s, ls in site_layout(circuit, open_sites).items()}
 
 
 @dataclass
@@ -223,37 +229,31 @@ def build_3d(circuit: Circuit, in_bits=0, out_bits=None,
         opens = tuple(sorted(set(int(q) for q in open_sites)))
 
     nw = max(1, -(-t // WINDOW))
-    # site -> cycle -> gate, for the two-qubit cycles only
-    per_site: list[dict[int, object]] = [dict() for _ in range(n)]
+    # qubit -> window -> its gates in cycle order; cycle 0 opens the first
+    # window, cycle t+1 closes the last
+    per_site = [[[] for _ in range(nw)] for _ in range(n)]
     for g in circuit.gates:
-        if 0 < g.cycle <= t:
-            for q in g.qubits:
-                per_site[q][g.cycle] = g
+        for q in g.qubits:
+            per_site[q][min(max(g.cycle - 1, 0) // WINDOW, nw - 1)].append(g)
 
     blocks: dict[int, list[Tensor]] = {}
     for q in range(n):
         stack = []
-        for w in range(nw):
+        for w, gates in enumerate(per_site[q]):
             if w == 0:
-                arr = _H[:, int(in_s[q])].copy()  # first H layer on |in>
+                arr = np.eye(2, dtype=np.complex128)[int(in_s[q])]  # |in>
                 labels = []
             else:
                 arr = np.eye(2, dtype=np.complex128)
                 labels = [time_bond(q, w)]
-            for cyc in range(WINDOW * w + 1, min(WINDOW * (w + 1), t) + 1):
-                g = per_site[q].get(cyc)
-                if g is None:
-                    continue
+            for g in gates:
                 if len(g.qubits) == 1:
                     arr = arr @ _GATE_1Q[g.name].T
                 else:
-                    a, b = g.qubits
-                    side = 0 if q == a else 1
-                    factor = _GATE_2Q[g.name][side]
+                    factor = _GATE_2Q[g.name][g.qubits.index(q)]
                     arr = np.einsum("...s,bso->...bo", arr, factor)
-                    labels.append(window_bond(w, a, b))
+                    labels.append(gate_bond(g.cycle, *g.qubits))
             if w == nw - 1:
-                arr = arr @ _H.T  # final H layer
                 if q in opens:
                     labels.append(out_label(q))
                 else:
@@ -272,10 +272,9 @@ def contract_time(net: Net3D) -> Net2D:
     The sites of :data:`FOLDED_CORNERS` are folded into their only
     neighbours.
 
-    Each site's window bonds are grouped by edge, windows in numeric order
-    (the first window is the merged index's most significant digit), and
-    the groups ordered by :func:`site_label_order`; one transpose to that
-    flattened order and one reshape give the site tensor.
+    Each site tensor is laid out by :func:`site_layout`: one transpose to
+    its members' order (a merged bond's first gate is its most significant
+    digit) and one reshape.
     """
     circuit = net.circuit
     lattice = circuit.lattice
@@ -289,22 +288,16 @@ def contract_time(net: Net3D) -> Net2D:
     for corner, nbr in _corner_folds(lattice):
         tensors[nbr] = contract(tensors.pop(corner), tensors[nbr])
 
+    layout = site_layout(circuit, net.open_sites)
     for site, t in tensors.items():
-        groups: dict[str, list[tuple[int, str]]] = {}  # site label -> members
-        for label in t.labels:
-            if label.startswith("b"):
-                w, a, b = map(int, label[1:].split("_"))
-                groups.setdefault(edge_label(a, b), []).append((w, label))
-            else:
-                groups[label] = [(0, label)]
-        order = site_label_order(groups)
-        members = [[l for _, l in sorted(groups[g])] for g in order]
-        flat = t.transpose_to([l for m in members for l in m])
-        shape = [math.prod(map(flat.dim_of, m)) for m in members]
-        tensors[site] = Tensor(order, flat.array.reshape(shape))
+        groups = layout[site].values()
+        flat = t.transpose_to([l for m in groups for l, _ in m])
+        tensors[site] = Tensor(tuple(layout[site]), flat.array.reshape(
+            [math.prod(d for _, d in m) for m in groups]))
 
-    bond_dim = _bond_dims(lattice, {s: dict(zip(t.labels, t.dims))
-                                    for s, t in tensors.items()})
+    dims = {s: dict(zip(t.labels, t.dims)) for s, t in tensors.items()}
+    bond_dim = {(a, b): dims[a][edge_label(a, b)] for a, b in lattice.edges()
+                if edge_label(a, b) in dims.get(a, ())}
     return Net2D(circuit, tensors, bond_dim, net.in_bits, net.out_bits,
                  net.open_sites)
 

@@ -50,8 +50,8 @@ class TestAmplitude:
         assert abs(amp - want) < 1e-10
 
     def test_default_plan_is_priced_for_the_circuit(self):
-        """The default plan is builtin_plan's choice at the circuit's depth,
-        the engine's precision and the circuit's two-qubit gate."""
+        """The default plan is builtin_plan's choice for the circuit's own
+        gates at the engine's precision."""
         lat = Lattice.named("grid:6x6")
         eng = AmplitudeEngine(generate_rqc(lat, "1+16+1", seed=0))
         assert placement(eng.plan) == placement(grid_plan(lat, c_early=True))
@@ -61,8 +61,7 @@ class TestAmplitude:
             for dtype in (np.complex64, np.complex128):
                 eng = AmplitudeEngine(circ, dtype=dtype)
                 assert eng.plan == contraction_plan.builtin_plan(
-                    lat, "1+16+1", itemsize=np.dtype(dtype).itemsize,
-                    two_qubit_gate=gate)
+                    lat, circ, itemsize=np.dtype(dtype).itemsize)
 
     def test_explicit_plan(self, circuit_4x4_t16, state_4x4_t16):
         plan = grid_plan(circuit_4x4_t16.lattice, n_cuts=2)

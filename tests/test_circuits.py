@@ -16,7 +16,6 @@ from rqcsim.circuits import (
     Lattice,
     cross_gate_count,
     cz_cut_count,
-    edge_activations,
     generate_rqc,
     parse_circuit,
     pattern_bonds,
@@ -158,14 +157,6 @@ class TestGeneratedCircuits:
         circ = generate_rqc(grid_2x2, "1+8+1", seed=0, two_qubit_gate="iswap")
         assert {g.name for g in circ.two_qubit_gates()} == {"iswap"}
 
-    def test_two_qubit_gate_prices_the_widest_bond(self, grid_2x2):
-        """A circuit names its two-qubit gate; of a mix, the one of highest
-        Schmidt rank, and a circuit without any prices as CZ."""
-        assert generate_rqc(grid_2x2, "1+8+1", seed=0).two_qubit_gate == "cz"
-        mixed = parse_circuit("4\n1 cz 0 1\n2 iswap 2 3\n3 cz 0 2\n")
-        assert mixed.two_qubit_gate == "iswap"
-        assert parse_circuit("4\n0 h 0\n").two_qubit_gate == "cz"
-
 
 class TestBondPatterns:
     def test_eight_patterns_cover_every_edge(self, grid_4x4):
@@ -181,22 +172,19 @@ class TestBondPatterns:
                 qubits += [a, b]
             assert len(qubits) == len(set(qubits))
 
-    def test_activations_at_t32_are_uniformly_four(self, grid_4x4):
-        acts = edge_activations(grid_4x4, 32)
-        assert set(acts.values()) == {4}
+    @pytest.mark.parametrize("t", [0, 1, 5, 9, 16, 32])
+    def test_each_bond_has_one_gate_per_window(self, grid_4x4, t):
+        """Each bond carries at most one gate per 8-cycle window, and
+        exactly t/8 gates when t is a multiple of 8."""
+        from collections import Counter
 
-    def test_activation_count_closed_form(self, grid_4x4):
-        # each edge belongs to exactly one of the 8 round-robin patterns
-        for t in (0, 1, 5, 9, 16, 32):
-            acts = edge_activations(grid_4x4, t)
-            circ = generate_rqc(grid_4x4, f"1+{t}+1", seed=0)
-            from collections import Counter
-
-            counted: Counter = Counter()
-            for g in circ.two_qubit_gates():
-                counted[g.qubits] += 1
-            for edge, k in acts.items():
-                assert counted.get(edge, 0) == k
+        circ = generate_rqc(grid_4x4, f"1+{t}+1", seed=0)
+        per_window = Counter((g.qubits, (g.cycle - 1) // 8)
+                             for g in circ.two_qubit_gates())
+        assert set(per_window.values()) <= {1}
+        if t % 8 == 0:
+            counted = Counter(g.qubits for g in circ.two_qubit_gates())
+            assert all(counted[e] == t // 8 for e in grid_4x4.edges())
 
 
 class TestCutCounts:
@@ -263,8 +251,30 @@ class TestSerialization:
             Circuit(grid_2x2, DepthSpec(1), (Gate(0, "h", (9,)),))
 
     def test_cz_must_follow_lattice_bonds(self, grid_2x2):
-        with pytest.raises(ValueError):
-            Circuit(grid_2x2, DepthSpec(1), (Gate(0, "cz", (0, 3)),))
+        with pytest.raises(ValueError, match="non-adjacent"):
+            Circuit(grid_2x2, DepthSpec(1), (Gate(1, "cz", (0, 3)),))
+
+    @pytest.mark.parametrize("gate", [Gate(0, "cz", (0, 1)),
+                                      Gate(2, "iswap", (0, 1)),
+                                      Gate(3, "h", (0,))])
+    def test_gates_outside_their_cycles_rejected(self, grid_2x2, gate):
+        """Two-qubit gates belong to cycles 1..t, every gate to 0..t+1."""
+        with pytest.raises(ValueError, match="cycle"):
+            Circuit(grid_2x2, DepthSpec(1), (gate,))
+        text = f"4\n# depth: 1+1+1\n{gate.cycle} {gate.name} " + \
+            " ".join(map(str, gate.qubits)) + "\n"
+        with pytest.raises(CircuitFormatError, match="line 3: .*cycle"):
+            parse_circuit(text)
+
+    @pytest.mark.parametrize("text,t", [
+        ("4\n1 cz 0 1\n2 x_1_2 0\n3 cz 2 3\n", 3),  # ends on a two-qubit gate
+        ("4\n0 h 0\n1 cz 0 1\n3 h 1\n", 2),         # ends on a one-qubit gate
+        ("4\n0 h 0\n1 t 0\n", 0),
+    ])
+    def test_headerless_depth_holds_every_gate(self, text, t):
+        """Without a depth header the depth is the smallest 1+t+1 whose
+        cycles hold every gate."""
+        assert parse_circuit(text).depth == DepthSpec(t)
 
 
 @settings(max_examples=25, deadline=None)

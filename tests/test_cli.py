@@ -6,9 +6,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from rqcsim import _kernels, cli, contraction_plan
-from rqcsim.circuits import Lattice
+from rqcsim import _kernels, cli, contraction_plan, oracle
+from rqcsim.amplitude_engine import AmplitudeEngine
+from rqcsim.circuits import (Circuit, Gate, Lattice, generate_rqc,
+                             parse_circuit, write_circuit)
 
 
 def run(capsys, *argv):
@@ -180,6 +184,19 @@ class TestVerify:
         rep = json.loads(out.splitlines()[-1])
         assert rep["reference_s"] > 0
         assert rep["engine_s"] > 0
+
+    @pytest.mark.parametrize("text", [
+        "4\n" + "".join(f"0 h {q}\n3 h {q}\n" for q in range(4))
+        + "1 cz 0 1\n2 cz 0 1\n",                      # one edge, one window
+        "4\n1 cz 0 1\n2 x_1_2 0\n3 cz 2 3\n",       # no H layers
+    ], ids=["two-gates-one-window", "no-h-layers"])
+    def test_files_the_generator_would_not_write(self, tmp_path, capsys, text):
+        path = tmp_path / "c.txt"
+        path.write_text(text)
+        code, out, err = run(capsys, "verify", "--circuit", str(path),
+                             "--precision", "double", "--tol", "1e-12")
+        assert code == 0, err
+        assert json.loads(out.splitlines()[-1])["max_abs_diff"] <= 1e-12
 
     def test_fails_with_impossible_tolerance(self, circuit_file, capsys):
         code, _, err = run(
@@ -356,6 +373,35 @@ class TestMemoryBudget:
         assert "plan for bristlecone-24 needs ~6056 bytes" in err
 
 
+@st.composite
+def edited_circuits(draw):
+    """A generated circuit on a grid of at most 3x4 sites, with two-qubit
+    gates deleted, added or swapped between CZ and iSWAP."""
+    rows, cols = draw(st.sampled_from([(1, 2), (2, 2), (2, 3), (3, 3), (3, 4)]))
+    lat = Lattice.rectangle(rows, cols)
+    t = draw(st.integers(1, 16))
+    circ = generate_rqc(lat, f"1+{t}+1", seed=draw(st.integers(0, 9)),
+                        two_qubit_gate=draw(st.sampled_from(["cz", "iswap"])))
+    gates = list(circ.gates)
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["delete", "add", "swap"]))
+        pairs = [i for i, g in enumerate(gates) if len(g.qubits) == 2]
+        if kind == "add":
+            cycle = draw(st.integers(1, t))
+            a, b = draw(st.sampled_from(lat.edges()))
+            busy = {q for g in gates if g.cycle == cycle for q in g.qubits}
+            if not busy & {a, b}:
+                gates.append(Gate(cycle, draw(st.sampled_from(["cz", "iswap"])),
+                                  (a, b)))
+        elif pairs:
+            i = draw(st.sampled_from(pairs))
+            g = gates.pop(i)
+            if kind == "swap":
+                gates.insert(i, Gate(g.cycle, {"cz": "iswap", "iswap": "cz"}[g.name],
+                                     g.qubits))
+    return Circuit(lat, circ.depth, gates, meta=circ.meta)
+
+
 class TestPlanChoice:
     """The automatic plan is priced for the run that happens, and the
     config echo and records report what ran."""
@@ -404,6 +450,79 @@ class TestPlanChoice:
         assert "plan for grid:4x4 needs ~" in err and "budget is 1048576" in err
         assert not calls
 
+    def test_file_with_gates_removed_is_priced_on_its_own_gates(
+            self, tmp_path, capsys):
+        """A grid:3x4 1+16+1 file with its first six CZ lines removed: the
+        generated layout's plan priced on the file's gates is what its
+        executor counts and holds, and the plan chosen for the file
+        echoes what its record reports."""
+        lines = write_circuit(generate_rqc(Lattice.named("grid:3x4"),
+                                           "1+16+1", seed=0)).splitlines()
+        cz = [i for i, line in enumerate(lines) if " cz " in line][:6]
+        text = "\n".join(l for i, l in enumerate(lines) if i not in cz) + "\n"
+        circ = parse_circuit(text)
+        lat = circ.lattice
+        layout_plan = contraction_plan.builtin_plan(lat, "1+16+1")
+        est = contraction_plan.estimate_cost(layout_plan, lat, circ)
+        assert (est.total_flops, est.peak_bytes) == (51_456, 17_544)
+        _, stats = AmplitudeEngine(circ, layout_plan).amplitude(0, 0)
+        assert (stats.flops, stats.peak_bytes) == (51_456, 17_544)
+
+        path = tmp_path / "c.txt"
+        path.write_text(text)
+        code, out, err = run(capsys, "amplitude", "--circuit", str(path),
+                             "--out", "0" * 12)
+        assert code == 0, err
+        cfg, rec = (json.loads(line) for line in out.splitlines())
+        assert (cfg["config"]["plan_flops"], cfg["config"]["plan_peak_bytes"]) \
+            == (rec["flops"], rec["peak_bytes"]) == (45_824, 17_416)
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), batch=st.booleans(), double=st.booleans())
+    def test_edited_files_are_priced_on_their_own_gates(
+            self, tmp_path, capsys, data, batch, double):
+        """Generated circuits on grids up to 3x4 with two-qubit gates
+        deleted, added (on any free edge, any cycle) or swapped between CZ
+        and iSWAP: the estimate is what the executor counts and holds, the
+        config echo is what the records report, and the amplitudes are the
+        dense state's."""
+        circ = data.draw(edited_circuits())
+        c_sites = contraction_plan.builtin_plan(circ.lattice).batch_sites
+        batch = batch and bool(c_sites)
+        open_sites = c_sites if batch else ()
+        dtype = np.complex128 if double else np.complex64
+        plan = contraction_plan.builtin_plan(
+            circ.lattice, circ, open_sites=open_sites,
+            itemsize=np.dtype(dtype).itemsize)
+        est = contraction_plan.estimate_cost(
+            plan, circ.lattice, circ, open_sites=open_sites,
+            itemsize=np.dtype(dtype).itemsize)
+        engine = AmplitudeEngine(circ, plan, dtype=dtype)
+        if batch:
+            stats = engine.amplitude_batch(0, 0, c_sites, 1).stats
+        else:
+            stats = engine.amplitude(0, 0)[1]
+        assert (est.total_flops, est.peak_bytes) == \
+            (stats.flops, stats.peak_bytes)
+
+        path = tmp_path / "c.txt"
+        path.write_text(write_circuit(circ))
+        out_arg = ("--s-ab", "0" * circ.n) if batch else ("--out", "0" * circ.n)
+        code, out, err = run(capsys, "amplitude", "--circuit", str(path),
+                             "--precision", "double" if double else "single",
+                             *out_arg)
+        assert code == 0, err
+        lines = [json.loads(line) for line in out.splitlines()]
+        cfg = lines[0]["config"]
+        state = oracle.evolve(circ)
+        for rec in lines[1:]:
+            assert (rec["flops"], rec["peak_bytes"]) == \
+                (cfg["plan_flops"], cfg["plan_peak_bytes"])
+            amp = complex(rec["re"], rec["im"])
+            assert abs(amp - state[int(rec["out"], 2)]) <= \
+                (1e-12 if double else 1e-5)
+
     def test_named_plan_is_priced_like_auto(self, capsys):
         """``--plan bristlecone-24`` is that lattice's builtin plan priced
         for the run, so it echoes what ``--plan auto`` echoes."""
@@ -431,6 +550,16 @@ class TestExitCodes:
         )
         assert code == 1
 
+    def test_gates_past_the_depth_header_is_1(self, tmp_path, capsys):
+        """A file whose depth header is shorter than its gates is refused,
+        not run without the gates past it."""
+        path = tmp_path / "c.txt"
+        path.write_text("4\n# depth: 1+1+1\n0 h 0\n1 cz 0 1\n2 h 0\n3 cz 2 3\n")
+        for command, *extra in (("amplitude", "--out", "0000"), ("verify",)):
+            code, _, err = run(capsys, command, "--circuit", str(path), *extra)
+            assert code == 1
+            assert "line 6: cz at cycle 3 outside cycles 1..1" in err
+
     def test_memory_budget_error_is_2(self, circuit_file, capsys):
         code, _, err = run(
             capsys, "amplitude", "--circuit", str(circuit_file), "--out",
@@ -444,7 +573,7 @@ class TestExitCodes:
             "--plan", "bristlecone-24", "--out", "0" * 9,
         )
         assert code == 1
-        assert "not a lattice bond" in err
+        assert "plan lattice bristlecone-24 does not match" in err
 
     def test_plan_missing_a_site_is_1(self, tmp_path, capsys):
         """grid:3x3's builtin plan without its C site: refused with a plan

@@ -392,7 +392,8 @@ class TestRegionOrder:
         n_cuts = data.draw(st.integers(0, len(contraction_plan._rule(lat)[2])))
         regions = contraction_plan._regions(lat, n_cuts)
         open_sites = tuple(sorted(regions[2])) if open_c else ()
-        shapes, _ = site_shapes(lat, t, gate, open_sites)
+        circ = generate_rqc(lat, f"1+{t}+1", seed=t, two_qubit_gate=gate)
+        shapes = site_shapes(circ, open_sites)
         plan = two_region_plan(lat, *regions, c_early=c_early, shapes=shapes)
         boundary = two_region_plan(lat, *regions, c_early=c_early)
         walked = {sc.name: sc.flops for sc in contraction_plan._walk(
@@ -415,7 +416,6 @@ class TestRegionOrder:
             assert price[0] == walked[priced.name]
         if not lat.kind.startswith("grid:") or lat.n > 12:
             return
-        circ = generate_rqc(lat, f"1+{t}+1", seed=t, two_qubit_gate=gate)
         out = data.draw(st.integers(0, 2 ** lat.n - 1), label="out")
         bit = {q: out >> (lat.n - 1 - q) & 1 for q in range(lat.n)}
         state = oracle.evolve(circ)
@@ -441,7 +441,7 @@ class TestRegionOrder:
         plan = builtin_plan(lat, "1+32+1")
         flops = {sc.name: sc.flops
                  for sc in estimate_cost(plan, lat, "1+32+1").steps}
-        shapes, _ = site_shapes(lat, 32)
+        shapes = site_shapes(generate_rqc(lat, "1+32+1", seed=0))
         masks = contraction_plan._label_masks(
             [shapes[s] for s in plan.batch_sites])
         best = {1 << i: (0, m) for i, m in enumerate(masks)}  # subset -> (flops, labels)
@@ -662,12 +662,11 @@ class TestCostModel:
         """iSWAP bonds have Schmidt rank 4, so the estimate for an iSWAP
         circuit is what its executor counts and holds."""
         circ = generate_rqc(grid_4x4, "1+16+1", seed=0, two_qubit_gate="iswap")
-        assert circ.two_qubit_gate == "iswap"
+        assert {g.name for g in circ.two_qubit_gates()} == {"iswap"}
         plan = builtin_plan(grid_4x4)
         net = contract_time(build_3d(circ, 0, 0, dtype=np.complex64))
         ex = fresh_run(net, plan)
-        est = estimate_cost(plan, grid_4x4, "1+16+1",
-                            two_qubit_gate=circ.two_qubit_gate)
+        est = estimate_cost(plan, grid_4x4, circ)
         assert est.paths == math.prod(ex.cut_dims) == 256
         assert (est.total_flops, est.peak_bytes) == (ex.flops, ex.peak_bytes)
 

@@ -2,21 +2,24 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from rqcsim import oracle
 from rqcsim.amplitude_engine import AmplitudeEngine
-from rqcsim.circuits import SCHMIDT_RANK, Lattice, edge_activations, generate_rqc
+from rqcsim.circuits import SCHMIDT_RANK, Lattice, generate_rqc, parse_circuit
 from rqcsim.network_builder import (
     build_3d,
     contract_grid,
     contract_time,
+    edge_label,
+    gate_bond,
     gate_tensor,
     out_label,
     site_label_order,
     site_shapes,
-    window_bond,
 )
 from rqcsim.tensor_core import contract
 
@@ -154,6 +157,39 @@ class TestOpenOutputs:
             net.fix_outputs({1: 0})
 
 
+#: Circuit files the generator would not write, each a grid:2x2 network.
+LOADED = {
+    "two gates on one edge in one window":
+        "4\n" + "".join(f"0 h {q}\n3 h {q}\n" for q in range(4))
+        + "1 cz 0 1\n2 cz 0 1\n",
+    "no H layers": "4\n1 cz 0 1\n2 x_1_2 0\n3 cz 2 3\n",
+    "mixed gates, one-qubit gates at cycles 0 and t+1":
+        "4\n0 y_1_2 0\n0 t 3\n1 iswap 0 2\n1 cz 1 3\n2 cz 0 2\n"
+        "2 x_1_2 1\n9 iswap 0 1\n10 h 1\n10 x_1_2 2\n",
+}
+
+
+class TestLoadedCircuits:
+    """Every gate of a file folds in at its own cycle, each two-qubit gate
+    with its own bond."""
+
+    @pytest.mark.parametrize("text", LOADED.values(), ids=LOADED.keys())
+    @pytest.mark.parametrize("in_bits", [0, 5])
+    def test_state_matches_reference(self, text, in_bits):
+        circ = parse_circuit(text)
+        net = contract_time(build_3d(circ, in_bits, dtype=np.complex128))
+        t = contract_grid(net).transpose_to([out_label(q) for q in range(4)])
+        want = oracle.evolve(circ, in_bits)
+        assert np.abs(t.array.reshape(-1) - want).max() < 1e-14
+
+    @pytest.mark.parametrize("text", LOADED.values(), ids=LOADED.keys())
+    def test_priced_shapes_are_the_built_ones(self, text):
+        circ = parse_circuit(text)
+        net = contract_time(build_3d(circ, 0, 0, open_sites=(1, 2)))
+        assert site_shapes(circ, (1, 2)) == {
+            s: dict(zip(t.labels, t.dims)) for s, t in net.tensors.items()}
+
+
 class TestNetworkShape:
     def test_one_tensor_per_site(self, grid_3x4):
         circ = generate_rqc(grid_3x4, "1+16+1", seed=0)
@@ -184,8 +220,9 @@ class TestSiteLayout:
             assert t.array.flags.c_contiguous
             assert t.labels == site_label_order(t.labels)
         rank = SCHMIDT_RANK[gate]
-        expect = {e: rank ** k for e, k in edge_activations(lat, circ.depth.t).items()
-                  if k and all(s in net.tensors for s in e)}
+        gates = Counter(g.qubits for g in circ.two_qubit_gates())
+        expect = {e: rank ** k for e, k in gates.items()
+                  if all(s in net.tensors for s in e)}
         assert net.bond_dim == expect
 
     @pytest.mark.parametrize("lattice,depth,gate", [
@@ -205,16 +242,18 @@ class TestSiteLayout:
                       "corners": (0, lat.n - 1, lat.site_id((0, 5)) if
                                   lattice == "bristlecone-72" else 1)}[opened]
         net = contract_time(build_3d(circ, 0, 0, open_sites=open_sites))
-        shapes, bond_dims = site_shapes(lat, circ.depth.t, gate, open_sites)
+        shapes = site_shapes(circ, open_sites)
         assert shapes == {s: dict(zip(t.labels, t.dims))
                           for s, t in net.tensors.items()}
         assert {s: tuple(d) for s, d in shapes.items()} == \
             {s: t.labels for s, t in net.tensors.items()}
+        bond_dims = {(a, b): shapes[a][edge_label(a, b)] for a, b in lat.edges()
+                     if edge_label(a, b) in shapes.get(a, ())}
         assert bond_dims == net.bond_dim
 
-    def test_windows_merge_in_numeric_order(self):
-        """The first window is the most significant digit of the merged
-        bond: b0, b1, ..., b10, not the string order b0, b1, b10, b2."""
+    def test_gates_merge_in_cycle_order(self):
+        """The first gate is the most significant digit of the merged
+        bond: g1, g9, g17, ..., g81, not the string order g1, g17, ..., g9."""
         circ = generate_rqc(Lattice.named("grid:1x2"), "1+88+1", seed=0)
         net3 = build_3d(circ)
         net = contract_time(net3)
@@ -222,7 +261,7 @@ class TestSiteLayout:
             blocks = stack[0]
             for blk in stack[1:]:
                 blocks = contract(blocks, blk)
-            windows = [window_bond(w, 0, 1) for w in range(11)]
+            windows = [gate_bond(8 * w + 1, 0, 1) for w in range(11)]
             want = blocks.transpose_to([out_label(q)] + windows).array
             assert np.array_equal(net.tensors[q].array,
                                   want.reshape(2, 2 ** 11))

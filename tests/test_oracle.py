@@ -274,15 +274,19 @@ def _lattice(n: int) -> Lattice:
 
 def _circuit(lat: Lattice, ops) -> Circuit:
     """Gates in the order given, each in the first cycle after the last
-    gate on its qubits."""
+    gate on its qubits (cycle 1 at the earliest for a two-qubit gate), at
+    the smallest depth that holds them."""
     free = [0] * lat.n
     gates = []
     for name, qubits in ops:
         cycle = max(free[q] for q in qubits)
+        if len(qubits) == 2:
+            cycle = max(cycle, 1)
         gates.append(Gate(cycle, name, qubits))
         for q in qubits:
             free[q] = cycle + 1
-    return Circuit(lat, DepthSpec(max(0, max(free, default=0) - 2)), gates)
+    t = max([g.cycle - (len(g.qubits) == 1) for g in gates], default=0)
+    return Circuit(lat, DepthSpec(max(0, t)), gates)
 
 
 @st.composite
