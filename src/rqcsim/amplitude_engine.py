@@ -88,9 +88,29 @@ class AmplitudeBatch:
         return "".join(bits)
 
 
+def batch_region(n: int, c_sites: Sequence[int], n_c: int) -> tuple[int, ...]:
+    """The open sites C of a batch of ``n_c`` completions on an ``n``-qubit
+    circuit, sorted.  The rule: at least one site, all distinct, all in
+    0..n-1, and n_c in 1..2^|C|; a request that breaks it is a ValueError
+    naming the batch region."""
+    sites = tuple(sorted(c_sites))
+    if not sites:
+        raise ValueError("batch region is empty")
+    if len(set(sites)) != len(sites):
+        raise ValueError(f"batch region {list(sites)} lists a site twice")
+    if not 0 <= sites[0] <= sites[-1] < n:
+        raise ValueError(f"batch region {list(sites)} has sites outside 0..{n - 1}")
+    if not 1 <= n_c <= 2 ** len(sites):
+        raise ValueError(f"batch region of {len(sites)} sites has 1..2^{len(sites)} "
+                         f"completions, not n_c={n_c}")
+    return sites
+
+
 class AmplitudeEngine:
-    """Computes amplitudes of one circuit via its contraction plan.  With
-    ``trace`` every amplitude's and batch's stats carry per-step figures."""
+    """Computes amplitudes of one circuit via its contraction plan: ``plan``,
+    or else the builtin plan priced on the circuit and cut to fit
+    ``memory_budget``.  With ``trace`` every amplitude's and batch's stats
+    carry per-step figures."""
 
     def __init__(self, circuit: Circuit, plan: Optional[ContractionPlan] = None,
                  *, dtype=np.complex64, thread_count: int = 1,
@@ -98,7 +118,7 @@ class AmplitudeEngine:
         self.circuit = circuit
         self.dtype = np.dtype(dtype)
         self.plan = plan if plan is not None else builtin_plan(
-            circuit.lattice, circuit, itemsize=self.dtype.itemsize)
+            circuit.lattice, circuit, memory_budget, itemsize=self.dtype.itemsize)
         self.thread_count = thread_count
         self.memory_budget = memory_budget
         self.trace = trace
@@ -148,17 +168,13 @@ class AmplitudeEngine:
         ``s_ab`` fixes the output bits of every qubit outside ``c_sites``
         (its bits at the open positions are ignored).  The completions are
         a seeded draw without replacement from the 2^|C| assignments, so a
-        batch is n_c candidate bit-strings sharing one contraction.
+        batch is n_c candidate bit-strings sharing one contraction.  A
+        region or size that breaks :func:`batch_region`'s rule is refused
+        before any output is fixed.
         """
         start = time.perf_counter()
         n = self.circuit.n
-        c_sites = tuple(sorted(c_sites))
-        if not c_sites:
-            raise ValueError("batch region is empty")
-        if len(set(c_sites)) != len(c_sites):
-            raise ValueError("duplicate sites in batch region")
-        if not 1 <= n_c <= 2 ** len(c_sites):
-            raise ValueError(f"n_c={n_c} not in [1, 2^{len(c_sites)}]")
+        c_sites = batch_region(n, c_sites, n_c)
         s_ab = as_bits(s_ab, n)
         open_set = set(c_sites)
 

@@ -22,6 +22,7 @@ bit-strings.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -163,6 +164,15 @@ def xeb_fidelity(samples: Iterable, probabilities) -> float:
 
 
 def probabilities_from_records(records: Iterable[dict]) -> np.ndarray:
-    """|amplitude|^2 for each amplitude JSON record (re/im fields)."""
-    return np.array([rec["re"] ** 2 + rec["im"] ** 2 for rec in records],
-                    dtype=np.float64)
+    """|amplitude|^2 for each amplitude JSON record, from its ``re`` and
+    ``im`` fields.  Both must be finite reals; a record without them is
+    refused with a ValueError naming it."""
+    probs = []
+    for rec in records:
+        parts = [rec.get("re"), rec.get("im")]
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                   and math.isfinite(v) for v in parts):
+            raise ValueError(f"amplitude record {rec} needs finite real "
+                             "'re' and 'im'")
+        probs.append(parts[0] ** 2 + parts[1] ** 2)
+    return np.array(probs, dtype=np.float64)

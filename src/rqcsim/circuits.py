@@ -229,19 +229,34 @@ class DepthSpec:
         return f"1+{self.t}+1"
 
 
-def cycle_error(gate: Gate, depth: DepthSpec) -> Optional[str]:
-    """Why ``gate`` has no place in a ``1+t+1`` circuit, or None: two-qubit
-    gates belong to cycles 1..t, one-qubit gates to cycles 0..t+1."""
+def gate_error(gate: Gate, lattice: Lattice, depth: DepthSpec,
+               seen: set[tuple[int, int]]) -> Optional[str]:
+    """Why ``gate`` has no place in a ``1+t+1`` circuit on ``lattice``, or
+    None.  Two-qubit gates belong to cycles 1..t and one-qubit gates to
+    cycles 0..t+1; every qubit is a site, touched at most once per cycle
+    (``seen`` holds the (cycle, qubit) pairs of the gates checked so far,
+    and takes this gate's); a two-qubit gate acts on a lattice bond."""
     first, last = (1, depth.t) if len(gate.qubits) == 2 else (0, depth.t + 1)
     if not first <= gate.cycle <= last:
         return (f"{gate.name} at cycle {gate.cycle} outside cycles "
                 f"{first}..{last} of depth {depth}")
+    for q in gate.qubits:
+        if not 0 <= q < lattice.n:
+            return f"{gate.name} on qubit {q} outside 0..{lattice.n - 1}"
+        if (gate.cycle, q) in seen:
+            return f"qubit {q} touched twice in cycle {gate.cycle}"
+        seen.add((gate.cycle, q))
+    if len(gate.qubits) == 2 and not lattice.adjacent(*gate.qubits):
+        a, b = gate.qubits
+        return (f"two-qubit gate on non-adjacent sites {a} {b} "
+                f"({lattice.coords(a)}, {lattice.coords(b)})")
     return None
 
 
 class Circuit:
-    """An ordered gate list on a lattice, grouped by cycle (see
-    :func:`cycle_error`)."""
+    """An ordered gate list on a lattice, grouped by cycle.  Every gate
+    obeys :func:`gate_error`'s rule; a circuit that breaks it is refused
+    with a ValueError."""
 
     def __init__(self, lattice: Lattice, depth, gates: Sequence[Gate],
                  meta: Optional[dict] = None):
@@ -256,20 +271,9 @@ class Circuit:
     def _validate(self):
         seen: set[tuple[int, int]] = set()
         for g in self.gates:
-            late = cycle_error(g, self.depth)
-            if late:
-                raise ValueError(late)
-            for q in g.qubits:
-                if not 0 <= q < self.n:
-                    raise ValueError(f"gate {g} references qubit {q} outside 0..{self.n - 1}")
-                if (g.cycle, q) in seen:
-                    raise ValueError(f"qubit {q} touched twice in cycle {g.cycle}")
-                seen.add((g.cycle, q))
-            if len(g.qubits) == 2 and not self.lattice.adjacent(*g.qubits):
-                raise ValueError(
-                    f"two-qubit gate on non-adjacent sites {g.qubits} "
-                    f"({self.lattice.coords(g.qubits[0])}, {self.lattice.coords(g.qubits[1])})"
-                )
+            error = gate_error(g, self.lattice, self.depth, seen)
+            if error:
+                raise ValueError(error)
 
     def cycle_gates(self, cycle: int) -> list[Gate]:
         return [g for g in self.gates if g.cycle == cycle]
@@ -414,7 +418,10 @@ def parse_circuit(text: str, lattice: Optional[Lattice] = None) -> Circuit:
     If no lattice is given, it is recovered from the ``# lattice:`` header
     or, failing that, inferred as the smallest rectangle holding all qubits.
     The depth is the ``# depth:`` header's or else the smallest ``1+t+1``
-    that holds every gate (:func:`cycle_error`), which refuses the rest.
+    that holds every gate.  Each line's gate must pass :class:`Gate`'s own
+    checks and :func:`gate_error`'s rule, the rule a :class:`Circuit`
+    keeps; whatever either refuses is a :class:`CircuitFormatError`
+    carrying the line number.
     """
     lines = text.splitlines()
     if not lines:
@@ -428,7 +435,7 @@ def parse_circuit(text: str, lattice: Optional[Lattice] = None) -> Circuit:
             f"qubit count must be at least 2 and at most {MAX_SITES}, got {n}", 1)
 
     meta: dict[str, str] = {}
-    raw_gates: list[tuple[int, int, str, tuple[int, ...]]] = []
+    numbered: list[tuple[int, Gate]] = []
     min_t = 0  # smallest t whose cycles hold every gate
     for lineno, raw in enumerate(lines[1:], start=2):
         stripped = raw.strip()
@@ -443,22 +450,11 @@ def parse_circuit(text: str, lattice: Optional[Lattice] = None) -> Circuit:
         if len(parts) not in (3, 4):
             raise CircuitFormatError(f"expected '<cycle> <gate> <q0> [<q1>]', got {raw!r}", lineno)
         try:
-            cycle = int(parts[0])
-            qubits = tuple(int(p) for p in parts[2:])
-        except ValueError:
-            raise CircuitFormatError(f"bad integer in {raw!r}", lineno) from None
-        name = parts[1].lower()
-        if name not in GATE_NAMES:
-            raise CircuitFormatError(f"unknown gate {parts[1]!r}", lineno)
-        if cycle < 0:
-            raise CircuitFormatError("negative cycle", lineno)
-        if len(qubits) != (2 if name in TWO_QUBIT_GATES else 1):
-            raise CircuitFormatError(f"wrong qubit count for {name}", lineno)
-        for q in qubits:
-            if not 0 <= q < n:
-                raise CircuitFormatError(f"qubit {q} outside 0..{n - 1}", lineno)
-        raw_gates.append((lineno, cycle, name, qubits))
-        min_t = max(min_t, cycle if len(qubits) == 2 else cycle - 1)
+            gate = Gate(int(parts[0]), parts[1].lower(), tuple(int(p) for p in parts[2:]))
+        except ValueError as e:  # a bad integer, or a gate Gate itself refuses
+            raise CircuitFormatError(str(e), lineno) from None
+        numbered.append((lineno, gate))
+        min_t = max(min_t, gate.cycle if len(gate.qubits) == 2 else gate.cycle - 1)
 
     if lattice is None:
         if "lattice" in meta:
@@ -474,23 +470,12 @@ def parse_circuit(text: str, lattice: Optional[Lattice] = None) -> Circuit:
     else:
         depth = DepthSpec(min_t)
 
-    gates = []
     seen: set[tuple[int, int]] = set()
-    for lineno, cycle, name, qubits in raw_gates:
-        for q in qubits:
-            if (cycle, q) in seen:
-                raise CircuitFormatError(f"qubit {q} touched twice in cycle {cycle}", lineno)
-            seen.add((cycle, q))
-        if len(qubits) == 2 and not lattice.adjacent(*qubits):
-            raise CircuitFormatError(
-                f"two-qubit gate on non-adjacent qubits {qubits[0]} {qubits[1]}", lineno)
-        gate = Gate(cycle, name, qubits)
-        late = cycle_error(gate, depth)
-        if late:
-            raise CircuitFormatError(late, lineno)
-        gates.append(gate)
-
-    return Circuit(lattice, depth, gates, meta=meta)
+    for lineno, gate in numbered:
+        error = gate_error(gate, lattice, depth, seen)
+        if error:
+            raise CircuitFormatError(error, lineno)
+    return Circuit(lattice, depth, [g for _, g in numbered], meta=meta)
 
 
 def _from_meta(parse, meta: dict[str, str], key: str):

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 from contextlib import contextmanager
@@ -32,9 +33,10 @@ import numpy as np
 
 from . import _kernels, analysis, oracle
 from .amplitude_engine import (AmplitudeEngine, FidelitySpec, amplitude_record,
-                               batch_records, read_amplitudes, write_amplitudes)
-from .circuits import (CircuitFormatError, DepthSpec, Lattice, generate_rqc,
-                       parse_circuit, write_circuit)
+                               batch_records, batch_region, read_amplitudes,
+                               write_amplitudes)
+from .circuits import (DepthSpec, Lattice, generate_rqc, parse_circuit,
+                       write_circuit)
 from .contraction_plan import (MemoryBudgetError, PlanError, builtin_plan,
                                estimate_cost, load_plan)
 from .network_builder import as_bits
@@ -54,13 +56,20 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@contextmanager
+def _refused(prefix: str = ""):
+    """The library's refusal of an input (a ValueError) as a usage error."""
+    try:
+        yield
+    except ValueError as e:
+        raise UsageError(f"{prefix}{e}") from None
+
+
 def _default_threads() -> int:
     env = os.environ.get("RQCSIM_THREADS", "")
     if env.strip():
-        try:
+        with _refused(f"RQCSIM_THREADS must be an integer, got {env!r}: "):
             threads = int(env)
-        except ValueError:
-            raise UsageError(f"RQCSIM_THREADS must be an integer, got {env!r}")
         if threads < 1:
             raise UsageError(f"RQCSIM_THREADS must be >= 1, got {env!r}")
         return threads
@@ -72,20 +81,16 @@ def _parse_bytes(text: str) -> int:
     s = text.strip().upper()
     scale = {"K": 2 ** 10, "M": 2 ** 20, "G": 2 ** 30}.get(s[-1:], 1)
     digits = s[:-1] if scale != 1 else s
-    try:
+    with _refused(f"bad memory budget {text!r}; use bytes or K/M/G: "):
         value = int(digits) * scale
-    except ValueError:
-        raise UsageError(f"bad memory budget {text!r}; use bytes or K/M/G")
     if value < 1:
         raise UsageError("memory budget must be positive")
     return value
 
 
 def _parse_int_list(text: str) -> list[int]:
-    try:
+    with _refused(f"expected a comma-separated integer list, got {text!r}: "):
         return [int(p) for p in text.replace(",", " ").split()]
-    except ValueError:
-        raise UsageError(f"expected a comma-separated integer list, got {text!r}")
 
 
 def _add_common(p: _Parser, *, source: bool = False, engine: bool = False):
@@ -245,18 +250,13 @@ def _load_circuit(args):
                 text = fh.read()
         except OSError as e:
             raise UsageError(f"cannot read circuit file: {e}")
-        try:
+        with _refused(f"bad circuit file {args.circuit}: "):
             return parse_circuit(text)
-        except (CircuitFormatError, ValueError) as e:
-            raise UsageError(f"bad circuit file {args.circuit}: {e}")
     if args.lattice:
         if not args.depth:
             raise UsageError("--lattice needs --depth")
-        try:
-            lattice = Lattice.named(args.lattice)
-            depth = DepthSpec.parse(args.depth)
-        except ValueError as e:
-            raise UsageError(str(e))
+        with _refused():
+            lattice, depth = Lattice.named(args.lattice), DepthSpec.parse(args.depth)
         return generate_rqc(lattice, depth, seed=args.seed)
     raise UsageError("give either --circuit FILE or --lattice NAME --depth D")
 
@@ -306,26 +306,22 @@ def _threads_arg(args) -> int:
     return _default_threads() if args.threads is None else args.threads
 
 
-def _n_c_arg(args, c_sites) -> int:
-    """--n-c, default min(32, 2^|C|); at most the 2^|C| completions."""
-    top = 2 ** len(c_sites)
-    if args.n_c is not None and not 1 <= args.n_c <= top:
-        raise UsageError(f"--n-c must be in 1..{top}, got {args.n_c}")
-    return min(32, top) if args.n_c is None else args.n_c
+def _n_c_arg(args, circuit, c_sites) -> int:
+    """--n-c, default min(32, 2^|C|), as :func:`batch_region` allows it."""
+    n_c = min(32, 2 ** len(c_sites)) if args.n_c is None else args.n_c
+    with _refused("--n-c: "):
+        batch_region(circuit.n, c_sites, n_c)
+    return n_c
 
 
 def _fidelity(args) -> FidelitySpec:
-    try:
+    with _refused():
         return FidelitySpec(f=args.fidelity, seed=args.seed)
-    except ValueError as e:
-        raise UsageError(str(e))
 
 
 def _bits_arg(value: Optional[str], n: int) -> str:
-    try:
+    with _refused():
         return as_bits("0" * n if value is None else value, n)
-    except ValueError as e:
-        raise UsageError(str(e))
 
 
 def _c_sites_arg(args, circuit) -> Optional[tuple[int, ...]]:
@@ -333,12 +329,8 @@ def _c_sites_arg(args, circuit) -> Optional[tuple[int, ...]]:
     region)."""
     if args.c_sites is None or args.c_sites == "auto":
         return None
-    sites = tuple(sorted(_parse_int_list(args.c_sites)))
-    if any(not 0 <= s < circuit.n for s in sites):
-        raise UsageError(f"--c-sites outside 0..{circuit.n - 1}")
-    if len(set(sites)) != len(sites):
-        raise UsageError(f"--c-sites lists a site twice: {args.c_sites!r}")
-    return sites
+    with _refused("--c-sites: "):  # a batch of one completion fits every region
+        return batch_region(circuit.n, _parse_int_list(args.c_sites), 1)
 
 
 def _config_echo(args, command: str, **extra) -> dict:
@@ -360,11 +352,8 @@ def _config_echo(args, command: str, **extra) -> dict:
 # ---------------------------------------------------------------------------
 
 def _cmd_gen(args) -> int:
-    try:
-        lattice = Lattice.named(args.lattice)
-        depth = DepthSpec.parse(args.depth)
-    except ValueError as e:
-        raise UsageError(str(e))
+    with _refused():
+        lattice, depth = Lattice.named(args.lattice), DepthSpec.parse(args.depth)
     circuit = generate_rqc(lattice, depth, seed=args.seed,
                            two_qubit_gate=args.two_qubit_gate)
     with _open_out(args) as fh:
@@ -401,7 +390,7 @@ def _cmd_amplitude(args) -> int:
             records = [amplitude_record(in_bits, out, amp, fid, stats)]
             key = {"in": in_bits, "out": out}
         else:
-            n_c = _n_c_arg(args, c_sites)
+            n_c = _n_c_arg(args, circuit, c_sites)
             s_ab = _bits_arg(args.s_ab, circuit.n)
             batch = engine.amplitude_batch(in_bits, s_ab, c_sites, n_c,
                                            seed=args.seed, fidelity=fid)
@@ -425,12 +414,10 @@ def _cmd_sample(args) -> int:
     circuit = _load_circuit(args)
     engine, c_sites, plan_echo = _make_engine(args, circuit, batch=True)
     in_bits = _bits_arg(args.in_bits, circuit.n)
-    n_c = _n_c_arg(args, c_sites)
-    try:
+    n_c = _n_c_arg(args, circuit, c_sites)
+    with _refused():
         config = SamplerConfig(n_c=n_c, target_samples=args.target, m=args.m,
                                seed=args.seed, fidelity=_fidelity(args))
-    except ValueError as e:
-        raise UsageError(str(e))
     start = time.perf_counter()
     run = sample_circuit(engine, c_sites, config, in_bits=in_bits,
                          max_batches=args.max_batches)
@@ -496,13 +483,19 @@ def _cmd_analyze_pt(args) -> int:
             records = read_amplitudes(fh)
     except (OSError, ValueError) as e:
         raise UsageError(f"cannot read amplitudes: {e}")
-    records = [r for r in records if "re" in r]
+    records = [r for r in records if isinstance(r, dict) and "re" in r]
     if not records:
         raise UsageError("no amplitude records in file")
-    if len({len(r["out"]) for r in records}) != 1:
-        raise UsageError("amplitude records have outputs of different lengths")
-    n_dim = 2 ** len(records[0]["out"])
-    probs = analysis.probabilities_from_records(records)
+    width = records[0].get("out")
+    for r in records:
+        out = r.get("out")
+        if not (isinstance(out, str) and re.fullmatch("[01]+", out)
+                and len(out) == len(width)):
+            raise UsageError(f"amplitude record {r} needs an 'out' of 0/1 "
+                             "characters as long as the first record's")
+    with _refused():
+        probs = analysis.probabilities_from_records(records)
+    n_dim = 2 ** len(width)
     hist = analysis.porter_thomas_check(probs, n_dim, bins=args.bins)
     with _open_out(args) as fh:
         fh.write(f"# config: {json.dumps(_config_echo(args, 'analyze pt'))}\n")
@@ -517,7 +510,7 @@ def _cmd_analyze_pearson(args) -> int:
         raise UsageError("--batches must be >= 2 to correlate")
     circuit = _load_circuit(args)
     engine, c_sites, plan_echo = _make_engine(args, circuit, batch=True)
-    n_c = _n_c_arg(args, c_sites)
+    n_c = _n_c_arg(args, circuit, c_sites)
     rng = np.random.Generator(np.random.PCG64(args.seed))
     batches = []
     for _ in range(args.batches):
@@ -549,10 +542,8 @@ def _cmd_analyze_xeb(args) -> int:
     if not samples:
         raise UsageError("no samples in file")
     for line in samples:
-        try:
+        with _refused("bad sample: "):
             as_bits(line, circuit.n)
-        except ValueError as e:
-            raise UsageError(f"bad sample: {e}")
     probs = oracle.exact_distribution(circuit, in_bits)
     f_hat = analysis.xeb_fidelity(samples, probs)
     report = {"config": _config_echo(args, "analyze xeb"),
@@ -563,20 +554,15 @@ def _cmd_analyze_xeb(args) -> int:
 
 
 def _cmd_complexity(args) -> int:
-    try:
-        lattice = Lattice.named(args.lattice)
-        depth = DepthSpec.parse(args.depth)
-    except ValueError as e:
-        raise UsageError(str(e))
+    with _refused():
+        lattice, depth = Lattice.named(args.lattice), DepthSpec.parse(args.depth)
     with _open_out(args) as fh:
         fh.write(f"# config: {json.dumps(_config_echo(args, 'complexity'))}\n")
         if args.table:
             fh.write(table_csv(complexity_table(lattice, depth)))
         else:
-            try:
+            with _refused():
                 spec, cost = best_partition(lattice, depth, args.scheme)
-            except ValueError as e:
-                raise UsageError(str(e))
             fh.write(f"# best: {args.scheme} {spec.label} "
                      f"sizes={list(spec.sizes)} "
                      f"alphas={list(spec.cross_counts)}\n")
@@ -588,12 +574,12 @@ def _cmd_bench_permute(args) -> int:
     text = args.gammas.strip()
     if ":" in text:
         lo, hi = text.split(":", 1)
-        try:
+        with _refused(f"bad gamma range {text!r}: "):
             gammas = range(int(lo), int(hi) + 1)
-        except ValueError:
-            raise UsageError(f"bad gamma range {text!r}")
     else:
         gammas = _parse_int_list(text)
+    if not gammas:
+        raise UsageError(f"--gammas {text!r} names no gamma")
     threads = _parse_int_list(args.threads)
     if any(not 2 <= g <= args.rank - 2 for g in gammas):
         raise UsageError(f"--gammas must lie in [2, rank - 2] = "

@@ -63,6 +63,17 @@ class TestAmplitude:
                 assert eng.plan == contraction_plan.builtin_plan(
                     lat, circ, itemsize=np.dtype(dtype).itemsize)
 
+    def test_default_plan_fits_the_memory_budget(self, circuit_4x4_t16,
+                                                 state_4x4_t16):
+        """Without a plan the engine cuts the builtin plan to its budget,
+        rather than refusing its first amplitude over a plan that ignored
+        the budget."""
+        eng = AmplitudeEngine(circuit_4x4_t16, dtype=np.complex128,
+                              memory_budget=40_000)
+        amp, stats = eng.amplitude(0, 77)
+        assert stats.peak_bytes <= 40_000
+        assert abs(amp - state_4x4_t16[77]) < 1e-10
+
     def test_explicit_plan(self, circuit_4x4_t16, state_4x4_t16):
         plan = grid_plan(circuit_4x4_t16.lattice, n_cuts=2)
         eng = AmplitudeEngine(circuit_4x4_t16, plan, dtype=np.complex128)
@@ -165,6 +176,26 @@ class TestBatch:
     def test_oversized_batch_rejected(self, engine_4x4):
         with pytest.raises(ValueError):
             engine_4x4.amplitude_batch(0, 0, (14, 15), 5, seed=0)
+
+    @pytest.mark.parametrize("c_sites,n_c", [((8, 9), 2), ((-1, 0), 2),
+                                             ((), 1), ((3, 3), 2),
+                                             ((7, 8), 5), ((7, 8), 0)],
+                             ids=["past-n", "negative", "empty", "twice",
+                                  "n-c-over", "n-c-zero"])
+    def test_bad_region_refused_before_any_fold(self, monkeypatch, c_sites,
+                                                n_c):
+        """Every break of the batch-region rule is refused before the
+        first fold, not after the contraction it makes pointless."""
+        engine = AmplitudeEngine(generate_rqc(Lattice.named("grid:3x3"),
+                                              "1+8+1", seed=0))
+        folds, contract_arrays = [], contraction_plan.contract_arrays
+        monkeypatch.setattr(contraction_plan, "contract_arrays",
+                            lambda *a: folds.append(1) or contract_arrays(*a))
+        with pytest.raises(ValueError, match="batch region"):
+            engine.amplitude_batch(0, 0, c_sites, n_c)
+        assert not folds
+        engine.amplitude_batch(0, 0, (7, 8), 2)
+        assert folds
 
 
 class TestCompiledRuns:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -245,6 +247,23 @@ class TestSerialization:
             parse_circuit("not-a-number\n")
         with pytest.raises(ValueError):
             parse_circuit("4\n0 h 0\n0 cz 1\n")  # cz needs two qubits
+
+    @pytest.mark.parametrize("body,error", [
+        ("1 bogus 0", "line 4: unknown gate 'bogus'"),
+        ("1 cz 0", "line 4: cz takes 2 qubit(s)"),
+        ("-1 h 0", "line 4: negative cycle"),
+        ("1 t 4", "line 4: t on qubit 4 outside 0..3"),
+        ("0 t 2", "line 4: qubit 2 touched twice in cycle 0"),
+        ("1 cz 0 3", "line 4: two-qubit gate on non-adjacent sites 0 3"),
+        ("2 cz 0 1", "line 4: cz at cycle 2 outside cycles 1..1"),
+    ], ids=["name", "arity", "negative-cycle", "qubit-range", "twice-a-cycle",
+            "lattice-bond", "cycle-window"])
+    def test_each_gate_rule_refuses_with_its_line(self, body, error):
+        """One table row per gate rule: the file is refused on the line
+        that breaks it, with the message of the rule a Circuit keeps."""
+        text = f"4\n# depth: 1+1+1\n0 h 2\n{body}\n"
+        with pytest.raises(CircuitFormatError, match=f"^{re.escape(error)}"):
+            parse_circuit(text)
 
     def test_gate_validation_rejects_out_of_range_qubits(self, grid_2x2):
         with pytest.raises(ValueError):

@@ -307,6 +307,7 @@ class TestBench:
         (["--repeats", "0"], "--repeats"),
         (["--threads", "0"], "--threads"),
         (["--threads", "1,-2"], "--threads"),
+        (["--rank", "12", "--gammas", "7:5", "--repeats", "1"], "--gammas"),
     ])
     def test_permute_out_of_range_is_1(self, capsys, monkeypatch, argv, flag):
         """Refused before any timing: a body of fewer than two indexes
@@ -628,8 +629,11 @@ class TestExitCodes:
         ("--n-c", "1000"),          # more completions than 2^|C|
         ("--n-c", "0"),             # not replaced by the default
         ("--c-sites", "1,1"),
+        ("--c-sites", "8,9"),       # 9 is past the last of 9 sites
+        ("--c-sites", "99"),
         ("--threads", "0"),
-    ], ids=["n-c-over", "n-c-zero", "c-sites-twice", "threads-zero"])
+    ], ids=["n-c-over", "n-c-zero", "c-sites-twice", "c-sites-past-n",
+            "c-sites-far-out", "threads-zero"])
     def test_bad_batch_arguments_are_1(self, capsys, argv):
         code, out, err = run(capsys, "amplitude", "--lattice", "grid:3x3",
                              "--depth", "1+8+1", *argv)
@@ -679,17 +683,17 @@ class TestExitCodes:
         assert code == 2
 
 
-def _amplitude_lines(n_bits: int, odd_out=None) -> str:
+def _amplitude_lines(n_bits: int, odd_record=None) -> str:
     """1200 amplitude records on ``n_bits`` qubits, enough for ``analyze
-    pt``; with ``odd_out`` the last record's output is that string."""
+    pt``; with ``odd_record`` the last record is that one."""
     rng = np.random.default_rng(0)
     outs = [format(i % 2 ** n_bits, f"0{n_bits}b") for i in range(1200)]
-    if odd_out is not None:
-        outs[-1] = odd_out
     amps = rng.normal(size=(1200, 2)) * 2 ** (-n_bits / 2)
-    return "".join(json.dumps({"in": "0" * n_bits, "out": out, "re": re,
-                               "im": im}) + "\n"
-                   for out, (re, im) in zip(outs, amps))
+    records = [{"in": "0" * n_bits, "out": out, "re": re, "im": im}
+               for out, (re, im) in zip(outs, amps)]
+    if odd_record is not None:
+        records[-1] = odd_record
+    return "".join(json.dumps(record) + "\n" for record in records)
 
 
 GRID_2X3 = ("--lattice", "grid:2x3", "--depth", "1+8+1")
@@ -715,13 +719,20 @@ class TestOutOfRangeArguments:
         assert code == 1 and not out
         assert err.startswith("error:")
 
-    @pytest.mark.parametrize("bins,odd_out", [("0", None), ("-5", None),
-                                              ("20", "00000")],
-                             ids=["bins-0", "bins-neg", "mixed-lengths"])
+    @pytest.mark.parametrize("bins,odd_record", [
+        ("0", None), ("-5", None),
+        ("20", {"out": "00000", "re": 0.1, "im": 0.0}),
+        ("20", {"re": 0.1, "im": 0.0}),
+        ("20", {"out": "000201", "re": 0.1, "im": 0.0}),
+        ("20", {"out": "000000", "re": "x", "im": 0.0}),
+        ("20", {"out": "000000", "re": 0.1}),
+        ("20", {"out": "000000", "re": float("nan"), "im": 0.0}),
+    ], ids=["bins-0", "bins-neg", "mixed-lengths", "no-out", "non-binary-out",
+            "re-not-a-number", "no-im", "re-nan"])
     def test_pt_bins_or_mixed_outputs_is_1(self, tmp_path, capsys, bins,
-                                           odd_out):
+                                           odd_record):
         path = tmp_path / "amps.jsonl"
-        path.write_text(_amplitude_lines(6, odd_out))
+        path.write_text(_amplitude_lines(6, odd_record))
         code, out, err = run(capsys, "analyze", "pt", "--amplitudes",
                              str(path), "--bins", bins)
         assert code == 1 and not out
